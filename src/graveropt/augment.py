@@ -12,12 +12,21 @@ with nonincreasing objective that zero out a coordinate) so it cannot
 zigzag between interior points: naive_lp_greedy demonstrates the
 halving-forever failure mode the shrink phase exists to prevent.
 
+A sweep considers every direction of the set, but most are rejected
+before any arithmetic: a direction that increases a coordinate sitting
+on its upper bound, or decreases one on its lower bound, has step bound
+0.  DirectionTable keeps, per coordinate, the bitsets of directions
+with a positive and a negative entry there, so the rejected directions
+of a sweep are the OR of a few bitsets; the exact step bound, the line
+search and the objective delta run only for the rest.  The table is
+built once per test set (GraverBasis and CircuitSet cache it), not once
+per sweep.
+
 Step lengths along a fixed direction are found by exact three-point
 bisection on integers; all arithmetic is int/Fraction.
 """
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
@@ -38,6 +47,7 @@ __all__ = [
     "UNBOUNDED",
     "FeasibleBox",
     "GreedyStep",
+    "DirectionTable",
     "TraceStep",
     "AugmentTrace",
     "line_search",
@@ -158,7 +168,8 @@ class AugmentTrace:
     n_eff is the step-count parameter of the engine that produced the
     trace; shrink_moves counts equal-value support-shrinking moves of
     the LP solver, which are not iterations; basis_size is the number
-    of candidate directions each greedy sweep evaluated.
+    of candidate directions each greedy sweep considered (most are
+    rejected by the sign-bitset test before any step bound is priced).
     """
 
     iterations: tuple
@@ -204,6 +215,34 @@ def line_search(f, l, u):
     return l if F(l) <= F(u) else u
 
 
+def _step_bound(z, sup, lower, upper, mode):
+    """Largest a >= 0 with z + a*g inside the bounds, or UNBOUNDED, for
+    the direction g whose nonzero entries are sup = [(j, g[j]), ...]."""
+    # The floor of the minimum is the minimum of the per-coordinate
+    # floors, and // floors ints and Fractions exactly.
+    ratio = floordiv if mode == "integer" else Fraction
+    best = None
+    for j, d in sup:
+        if d > 0:
+            u = upper[j]
+            if u is None:
+                continue
+            cap = ratio(u - z[j], d)
+        else:
+            cap = ratio(lower[j] - z[j], d)
+        if best is None or cap < best:
+            best = cap
+    if best is None:
+        return UNBOUNDED
+    if mode == "integer":
+        return floor(best)
+    return best
+
+
+def _support(g):
+    return [(j, d) for j, d in enumerate(g) if d]
+
+
 def max_step(z, g, box, mode="integer"):
     """Largest a >= 0 with z + a*g inside the bounds, or UNBOUNDED.
 
@@ -215,26 +254,67 @@ def max_step(z, g, box, mode="integer"):
         raise DimMismatch("point/direction must have %d coordinates" % (box.dim,))
     if not box.inside_bounds(z):
         raise InfeasibleBase("base point violates the bounds")
-    # The floor of the minimum is the minimum of the per-coordinate
-    # floors, and // floors ints and Fractions exactly.
-    ratio = floordiv if mode == "integer" else Fraction
-    best = None
-    for x, d, l, u in zip(z, g, box.lower, box.upper):
-        if d > 0:
-            if u is None:
-                continue
-            cap = ratio(u - x, d)
-        elif d < 0:
-            cap = ratio(l - x, d)
-        else:
-            continue
-        if best is None or cap < best:
-            best = cap
-    if best is None:
-        return UNBOUNDED
-    if mode == "integer":
-        return floor(best)
-    return best
+    return _step_bound(z, _support(g), box.lower, box.upper, mode)
+
+
+class DirectionTable:
+    """A direction list with per-coordinate sign bitsets over it.
+
+    Bit i of up[j] (down[j]) is set when directions[i][j] > 0 (< 0), in
+    the style of the _Fits bitsets of the pure kernels.  From a point
+    with z[j] on its upper bound every direction in up[j] has step
+    bound 0, and likewise down[j] at the lower bound; live() ORs those
+    bitsets and returns the directions that remain.  Build one per
+    test set: GraverBasis and CircuitSet keep theirs as sweep_table.
+    """
+
+    __slots__ = ("directions", "dim", "up", "down", "full")
+
+    def __init__(self, directions):
+        dirs = tuple(tuple(g) for g in directions)
+        dims = {len(g) for g in dirs}
+        if len(dims) > 1:
+            raise DimMismatch("directions of different lengths: %s" % (sorted(dims),))
+        self.directions = dirs
+        self.dim = dims.pop() if dims else None
+        self.up, self.down = [], []
+        for j in range(self.dim or 0):
+            col = [g[j] for g in reversed(dirs)]
+            self.up.append(int("0" + "".join("1" if d > 0 else "0" for d in col), 2))
+            self.down.append(int("0" + "".join("1" if d < 0 else "0" for d in col), 2))
+        self.full = (1 << len(dirs)) - 1
+
+    def __len__(self):
+        return len(self.directions)
+
+    def live(self, z, lower, upper):
+        """Indices, ascending, of the directions not blocked at z by a
+        coordinate on its bound."""
+        if not self.full:
+            return []
+        blocked = 0
+        for j, (x, l, u) in enumerate(zip(z, lower, upper)):
+            if x == l:
+                blocked |= self.down[j]
+            if u is not None and x == u:
+                blocked |= self.up[j]
+        # bit i of the mask is character i of the reversed binary string
+        bits = bin(self.full & ~blocked)[:1:-1]
+        out = []
+        i = bits.find("1")
+        while i >= 0:
+            out.append(i)
+            i = bits.find("1", i + 1)
+        return out
+
+
+def _sweep_table(S):
+    """The cached table of a test-set object, a table passed as is, or a
+    new table of a plain direction list."""
+    if isinstance(S, DirectionTable):
+        return S
+    table = getattr(S, "sweep_table", None)
+    return table if table is not None else DirectionTable(S)
 
 
 def _add_scaled(z, a, g):
@@ -280,11 +360,16 @@ def greedy_step(z, S, obj, box, mode="integer", threads=None):
     """Best single move from z: minimize obj(z + a*g) over g in S and
     feasible a > 0.
 
-    Integer mode searches a by bisection per direction; rational mode is
-    for linear objectives, where only the bound endpoint can be optimal.
-    Returns the zero step when nothing strictly improves.  Ties break by
+    S is a direction list, a GraverBasis or CircuitSet (whose cached
+    DirectionTable is used), or a DirectionTable.  Directions blocked by
+    a coordinate on its bound are rejected by the table's bitsets; the
+    rest get their exact step bound on their support.  Integer mode
+    searches a by bisection per direction; rational mode is for linear
+    objectives, where only the bound endpoint can be optimal.  Returns
+    the zero step when nothing strictly improves.  Ties break by
     (new value, step length, direction) so the result is deterministic
-    and independent of evaluation order.
+    and independent of evaluation order.  threads is accepted and has
+    no effect.
     """
     z = box.check_point(z)
     cur = evaluate(obj, z)
@@ -292,25 +377,30 @@ def greedy_step(z, S, obj, box, mode="integer", threads=None):
         raise DomainError("mode must be 'integer' or 'rational'")
     if mode == "rational" and not isinstance(obj, LinearObjective):
         raise DomainError("rational mode requires a linear objective")
+    table = _sweep_table(S)
+    if table.dim is not None and table.dim != box.dim:
+        raise DimMismatch("point/direction must have %d coordinates" % (box.dim,))
+    lower, upper = box.lower, box.upper
     percoord = _per_coordinate(obj) if mode == "integer" else None
     if percoord is not None:
         base = [sum(f(r * x) for r, f in rows) if rows else 0 for x, rows in zip(z, percoord)]
-
-    def best_for(g):
-        a_max = max_step(z, g, box, mode)
+    best = None
+    for i in table.live(z, lower, upper):
+        g = table.directions[i]
+        sup = _support(g)
+        a_max = _step_bound(z, sup, lower, upper, mode)
         if a_max is UNBOUNDED:
             if _ray_improves(obj, g):
                 raise UnboundedObjective("objective decreases without bound along %r" % (g,))
-            return None
+            continue
         if mode == "rational":
             cg = dot(obj.c, g)
             if cg >= 0 or a_max <= 0:
-                return None
-            return (cur + a_max * cg, a_max, g)
-        if a_max < 1:
-            return None
-        if percoord is not None:
-            sup = [(j, d) for j, d in enumerate(g) if d]
+                continue
+            cand = (cur + a_max * cg, a_max, g)
+        elif a_max < 1:
+            continue
+        elif percoord is not None:
             cg = dot(obj.c, g)
 
             def delta(t):
@@ -325,23 +415,19 @@ def greedy_step(z, S, obj, box, mode="integer", threads=None):
             a = line_search(delta, 1, a_max)
             dv = delta(a)
             if dv >= 0:
-                return None
-            return (_norm(cur + dv), a, g)
-        a = line_search(lambda t: evaluate(obj, _add_scaled(z, t, g)), 1, a_max)
-        v = evaluate(obj, _add_scaled(z, a, g))
-        if v >= cur:
-            return None
-        return (v, a, g)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(best_for, S))
-    else:
-        results = [best_for(g) for g in S]
-    cands = [r for r in results if r is not None]
-    if not cands:
+                continue
+            cand = (_norm(cur + dv), a, g)
+        else:
+            a = line_search(lambda t: evaluate(obj, _add_scaled(z, t, g)), 1, a_max)
+            v = evaluate(obj, _add_scaled(z, a, g))
+            if v >= cur:
+                continue
+            cand = (v, a, g)
+        if best is None or cand < best:
+            best = cand
+    if best is None:
         return GreedyStep((0,) * box.dim, 0, cur)
-    v, a, g = min(cands)
+    v, a, g = best
     return GreedyStep(g, a, v)
 
 
@@ -373,7 +459,10 @@ def solve_ip_greedy(z0, basis, obj, box, threads=None, h_warn_factor=8):
     basis must be the conformal test set of box.A (projected composite
     test set for composite objectives); that is what makes the final
     point a certified global optimum rather than a local stopping point.
-    Returns (optimum, trace); the trace holds every strict decrease.
+    Pass the GraverBasis itself, not its elements, so repeated solves
+    share its DirectionTable; a plain direction list gets a table for
+    this solve.  Returns (optimum, trace); the trace holds every strict
+    decrease.  threads is accepted and has no effect.
     """
     z = box.check_point(z0)
     if not all(isinstance(x, int) for x in z):
@@ -386,18 +475,18 @@ def solve_ip_greedy(z0, basis, obj, box, threads=None, h_warn_factor=8):
     else:
         n_eff = max(1, 2 * n - 2)
     h = _h_telemetry(obj, box, h_warn_factor)
-    dirs = basis.directions() if hasattr(basis, "directions") else tuple(basis)
+    table = _sweep_table(basis)
     steps = []
     cur = evaluate(obj, z)
     while True:
-        st = greedy_step(z, dirs, obj, box, "integer", threads)
+        st = greedy_step(z, table, obj, box, "integer")
         if st.is_zero:
             break
         assert st.new_value < cur
         steps.append(TraceStep(cur, st.new_value, st.direction, st.steplen))
         z = _add_scaled(z, st.steplen, st.direction)
         cur = st.new_value
-    return z, AugmentTrace(tuple(steps), h, n_eff, basis_size=len(dirs))
+    return z, AugmentTrace(tuple(steps), h, n_eff, basis_size=len(table))
 
 
 def _shrink_to_vertex(z, circuits, c, box):
@@ -448,6 +537,7 @@ def solve_lp_circuit(z0, circuits, c, box, threads=None):
     zero (the shrinking phase identifies "leaves the support" with
     "reaches zero").  Returns (optimum, trace): iterations are the
     strict decreases, shrink_moves counts the equal-value moves.
+    threads is accepted and has no effect.
     """
     if any(l != 0 for l in box.lower):
         raise DomainError("circuit LP solver requires zero lower bounds")
@@ -461,7 +551,7 @@ def solve_lp_circuit(z0, circuits, c, box, threads=None):
     steps = []
     shrunk = 0
     while True:
-        st = greedy_step(z, circuits.elements, obj, box, "rational", threads)
+        st = greedy_step(z, circuits, obj, box, "rational")
         if st.is_zero:
             break
         cur = evaluate(obj, z)
@@ -485,9 +575,10 @@ def naive_lp_greedy(z0, directions, c, box, max_iter=25):
     """
     obj = c if isinstance(c, LinearObjective) else LinearObjective(tuple(c))
     z = box.check_point(z0)
+    table = DirectionTable(directions)
     values = [evaluate(obj, z)]
     for _ in range(max_iter):
-        st = greedy_step(z, tuple(directions), obj, box, "rational")
+        st = greedy_step(z, table, obj, box, "rational")
         if st.is_zero:
             break
         z = _add_scaled(z, st.steplen, st.direction)

@@ -3,8 +3,10 @@ oracle, translate model documents.
 
 Standard output carries exactly one JSON document; diagnostics go to
 standard error.  Exit codes: 0 optimal, 1 error, 2 infeasible,
-3 unbounded, 4 search space too large.  Results are deterministic for
-any --threads value; wall_ms is the single nondeterministic field.
+3 unbounded, 4 search space too large.  wall_ms is the single
+nondeterministic field.  --threads (default: GRAVER_OPT_THREADS) is
+validated and has no effect: every solve runs on one thread, since a
+per-step thread pool measured slower under the GIL.
 """
 
 import argparse
@@ -156,18 +158,13 @@ def cmd_solve(args):
             if mode == "lp":
                 if not isinstance(objective, LinearObjective):
                     raise SchemaError("lp mode needs a linear objective")
-                z, trace = solve_lp_circuit(
-                    z0, circuits(box.A), objective, box, threads=args.threads
-                )
+                z, trace = solve_lp_circuit(z0, circuits(box.A), objective, box)
             else:
-                z, trace = solve_ip_greedy(
-                    z0, _ip_directions(box, objective), objective, box, threads=args.threads
-                )
+                z, trace = solve_ip_greedy(z0, _ip_directions(box, objective), objective, box)
             value = _selfcheck(box, objective, z, trace)
         elif isinstance(obj, NFoldInstance):
             z, trace = solve_nfold(
                 obj,
-                threads=args.threads,
                 graver_cap=args.graver_cap or 6,
                 direct_threshold=args.direct_threshold,
             )
@@ -292,7 +289,8 @@ def build_parser():
     ps.add_argument("path")
     ps.add_argument("--trace", action="store_true", help="include the augmentation trace")
     ps.add_argument("--mode", choices=("ip", "lp"), help="override the solver for box documents")
-    ps.add_argument("--threads", type=int, default=None, help="direction-evaluation threads")
+    ps.add_argument("--threads", type=int, default=None,
+                    help="accepted for compatibility; no effect, solves run on one thread")
     ps.add_argument("--graver-cap", type=int, default=None, help="stabilization cap for block methods")
     ps.add_argument("--direct-threshold", type=int, default=DIRECT_THRESHOLD,
                     help="flat size up to which block test sets are computed directly")

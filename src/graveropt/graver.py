@@ -16,9 +16,11 @@ Everything is exact; element coordinates are unbounded Python ints.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from . import kernels
+from .augment import DirectionTable
 from .errors import BoundExceeded, DimMismatch, NotInKernel
 from .linalg import Mat, conforms, is_zero, kernel_basis, primitive_part, vec_neg
 
@@ -38,6 +40,11 @@ class CircuitSet:
 
     def __contains__(self, v):
         return tuple(v) in set(self.elements)
+
+    @cached_property
+    def sweep_table(self):
+        """DirectionTable of the elements, built on first use."""
+        return DirectionTable(self.elements)
 
 
 @dataclass(frozen=True)
@@ -71,6 +78,12 @@ class GraverBasis:
                 seen.add(p)
                 out.append(p)
         return tuple(sorted(out))
+
+    @cached_property
+    def sweep_table(self):
+        """DirectionTable of directions(), built on first use and kept
+        as long as the basis (the solvers' lru caches keep bases)."""
+        return DirectionTable(self.directions())
 
 
 @dataclass(frozen=True)

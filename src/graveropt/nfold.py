@@ -24,7 +24,7 @@ walk uses the complete test set of the extended matrix.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .augment import FeasibleBox, solve_ip_greedy
@@ -305,6 +305,11 @@ class NFoldInstance:
         return Mat(tuple(r for r, _ in self.objective[0].rows), cols=self.n)
 
     def matrix(self):
+        return self._matrix
+
+    @cached_property
+    def _matrix(self):
+        # built once per instance: box() and the solvers all reuse it
         return build_nfold_matrix(self.A, self.B, self.N)
 
     def box(self):
@@ -344,7 +349,7 @@ def _neg_identity(k):
     return Mat(tuple(tuple(-1 if i == j else 0 for j in range(k)) for i in range(k)), cols=k)
 
 
-def _min_slack(E, rhs, x_upper, slack_upper, x_start, slack_start, threads=None):
+def _min_slack(E, rhs, x_upper, slack_upper, x_start, slack_start):
     """Drive the slack sum to zero over E (x-columns then slack columns).
 
     Returns the x-part on success, None when the certified optimum of
@@ -357,7 +362,7 @@ def _min_slack(E, rhs, x_upper, slack_upper, x_start, slack_start, threads=None)
     z0 = tuple(x_start) + tuple(slack_start)
     cost = _ones_cost(E.cols, nx)
     basis = _graver_cached(E)
-    z, _ = solve_ip_greedy(z0, basis, cost, box, threads=threads, h_warn_factor=None)
+    z, _ = solve_ip_greedy(z0, basis, cost, box, h_warn_factor=None)
     if evaluate(cost, z) > 0:
         return None
     return z[:nx]
@@ -378,6 +383,7 @@ def phase_one(inst, threads=None):
     way, with slack columns attached to the coupling rows only.  Both
     tiers certify a positive slack optimum as infeasibility because the
     greedy walk uses the complete test set of the extended matrix.
+    threads is accepted and has no effect.
     """
     A, B, N, n = inst.A, inst.B, inst.N, inst.n
     da, db = A.rows, B.rows
@@ -401,7 +407,7 @@ def phase_one(inst, threads=None):
             )
             z0 = (0,) * n + plus + minus
             cost = _ones_cost(E1.cols, n)
-            z, _ = solve_ip_greedy(z0, basis_cache, cost, box, threads=threads, h_warn_factor=None)
+            z, _ = solve_ip_greedy(z0, basis_cache, cost, box, h_warn_factor=None)
             if evaluate(cost, z) > 0:
                 raise Infeasible("block %d: A x = b^(%d) has no point in the bounds" % (i, i))
             xs.append(z[:n])
@@ -436,7 +442,6 @@ def phase_one(inst, threads=None):
         tuple(cap) * 2,
         flat_x,
         plus + minus,
-        threads=threads,
     )
     if x_part is None:
         raise Infeasible("coupling rows cannot be met within the bounds")
@@ -452,7 +457,8 @@ def solve_nfold(inst, threads=None, graver_cap=6, direct_threshold=DIRECT_THRESH
     variables the set is computed directly; beyond that it is lifted
     from the stabilized seed generators.  Then phase one and the greedy
     walk; a caller that already holds a feasible point can pass it as z0
-    (a BlockVector or flat tuple) to skip phase one.
+    (a BlockVector or flat tuple) to skip phase one.  threads is
+    accepted and has no effect.
     """
     n, N = inst.n, inst.N
     C = inst.shared_rows()
@@ -460,16 +466,14 @@ def solve_nfold(inst, threads=None, graver_cap=6, direct_threshold=DIRECT_THRESH
     box = inst.box()
     plain = C.rows == 0 or _unit_rows_only(C)
     if N * n <= direct_threshold:
-        M = inst.matrix()
         if plain:
-            basis = _graver_cached(M)
+            basis = _graver_cached(box.A)
         else:
             C_flat = Mat.vstack(*[_embed_block(C, i, N) for i in range(N)])
-            basis = _graver_composite_cached(M, C_flat)
-        dirs = basis.directions()
+            basis = _graver_composite_cached(box.A, C_flat)
     elif plain:
         seed = analyze_pair(inst.A, inst.B, cap=graver_cap)
-        dirs = lift_graver(seed, N).elements
+        basis = lift_graver(seed, N)
     else:
         s = C.rows
         Abar = Mat.vstack(
@@ -487,11 +491,11 @@ def solve_nfold(inst, threads=None, graver_cap=6, direct_threshold=DIRECT_THRESH
             if not is_zero(p) and p not in seen:
                 seen.add(p)
                 proj.append(p)
-        dirs = tuple(sorted(proj))
+        basis = tuple(sorted(proj))
     if z0 is None:
-        start = phase_one(inst, threads=threads).flatten()
+        start = phase_one(inst).flatten()
     else:
         start = z0.flatten() if isinstance(z0, BlockVector) else tuple(z0)
         box.check_point(start)
-    zopt, trace = solve_ip_greedy(start, dirs, flat, box, threads=threads)
+    zopt, trace = solve_ip_greedy(start, basis, flat, box)
     return BlockVector.from_flat(zopt, N, n), trace

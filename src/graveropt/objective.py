@@ -11,8 +11,7 @@ integer points; linear objectives also accept rational points.
 
 Univariate pieces are closed forms (polynomial, scaled power of an
 absolute deviation, finite table, zero), so every comparison is exact
-rational arithmetic.  An opaque callable hook exists for
-experimentation but nothing in the package relies on it.
+rational arithmetic.
 """
 
 from dataclasses import dataclass
@@ -28,7 +27,6 @@ __all__ = [
     "AbsPower",
     "TableFn",
     "ZeroFn",
-    "Hook",
     "evaluate",
     "check_z_convex",
     "range_bound",
@@ -173,29 +171,6 @@ class ZeroFn:
 
     def __hash__(self):
         return hash("zero")
-
-
-class Hook:
-    """Opaque exact-valued callable; excluded from the shipped solvers'
-    guarantees because convexity cannot be validated from outside."""
-
-    kind = "hook"
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        object.__setattr__(self, "fn", fn)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def __call__(self, t):
-        v = self.fn(t)
-        if not _is_rat(v):
-            raise DomainError("hook returned a non-rational value")
-        return _norm(v)
-
-    def __repr__(self):
-        return "Hook(%r)" % (self.fn,)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graveropt.augment as augment
 from graveropt.augment import (
     UNBOUNDED,
     AugmentTrace,
+    DirectionTable,
     FeasibleBox,
     GreedyStep,
     greedy_step,
@@ -22,10 +25,11 @@ from graveropt.errors import (
     DomainError,
     EmptyInterval,
     InfeasibleBase,
+    UnboundedBox,
     UnboundedObjective,
 )
 from graveropt.graver import circuits, graver, graver_composite
-from graveropt.linalg import Mat
+from graveropt.linalg import Mat, dot
 from graveropt.objective import AbsPower, CompositeObjective, LinearObjective, evaluate
 
 SQ = AbsPower(1, 2)
@@ -304,3 +308,140 @@ def test_augment_trace_helpers():
     assert len(t) == 0
     assert t.values() == ()
     assert t.shrink_moves == 0
+
+
+def _shifted(z, a, g):
+    return tuple(x + a * d for x, d in zip(z, g))
+
+
+def _reference_step(z, dirs, obj, box, mode):
+    """greedy_step spelled out with the public max_step and line_search
+    on every direction, with no sign-bitset prefilter."""
+    cur = evaluate(obj, z)
+    cands = []
+    for g in dirs:
+        a_max = max_step(z, g, box, mode)
+        if a_max is UNBOUNDED:
+            if not isinstance(obj, LinearObjective):
+                raise UnboundedBox("composite objective over an unbounded ray")
+            if dot(obj.c, g) < 0:
+                raise UnboundedObjective("objective decreases without bound along %r" % (g,))
+            continue
+        if mode == "rational":
+            if a_max <= 0:
+                continue
+            a = a_max
+        else:
+            if a_max < 1:
+                continue
+            a = line_search(lambda t: evaluate(obj, _shifted(z, t, g)), 1, a_max)
+        v = evaluate(obj, _shifted(z, a, g))
+        if v < cur:
+            cands.append((v, a, g))
+    if not cands:
+        return GreedyStep((0,) * box.dim, 0, cur)
+    v, a, g = min(cands)
+    return GreedyStep(g, a, v)
+
+
+def _outcome(f):
+    try:
+        return f()
+    except (UnboundedBox, UnboundedObjective) as e:
+        return type(e), str(e) if isinstance(e, UnboundedObjective) else None
+
+
+@st.composite
+def _sweep_cases(draw):
+    """A point with many coordinates on their bounds, a direction list
+    and an objective: integer mode with integer points and finite boxes,
+    rational mode with linear objectives, Fraction points and None
+    upper bounds."""
+    mode = draw(st.sampled_from(("integer", "rational")))
+    # open boxes: every coordinate on its lower bound, no upper bounds
+    ray = mode == "rational" and draw(st.booleans())
+    n = draw(st.integers(1, 5))
+    small = st.integers(-3, 3)
+    z, lower, upper = [], [], []
+    for _ in range(n):
+        if mode == "rational" and draw(st.booleans()):
+            x = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 3)))
+        else:
+            x = draw(small)
+        at = "lower" if ray else draw(st.sampled_from(("lower", "upper", "both", "inside", "inside")))
+        lo = x if at in ("lower", "both") else x - draw(st.integers(1, 3))
+        if at in ("upper", "both"):
+            up = x
+        elif ray or (mode == "rational" and draw(st.booleans())):
+            up = None
+        else:
+            up = x + draw(st.integers(1, 3))
+        z.append(x)
+        lower.append(lo)
+        upper.append(up)
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), max_size=2))
+    A = Mat(rows, cols=n)
+    box = FeasibleBox(A, A.mul_vec(z), lower, upper)
+    dirs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=14))
+    c = draw(st.tuples(*[small] * n))
+    shape = "linear" if mode == "rational" else draw(st.sampled_from(("linear", "coordinate", "mixed")))
+    if shape == "linear":
+        obj = LinearObjective(c)
+    else:
+        pieces = []
+        for j in range(n):
+            if draw(st.booleans()):
+                row = [0] * n
+                row[j] = draw(st.sampled_from((1, 2, -1)))
+                if shape == "mixed" and n > 1:
+                    row[(j + 1) % n] = draw(st.integers(-1, 1))
+                f = AbsPower(draw(st.integers(0, 2)), draw(st.integers(1, 3)), draw(small))
+                pieces.append((tuple(row), f))
+        obj = CompositeObjective(c, tuple(pieces))
+    return tuple(z), tuple(dirs), obj, box, mode
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sweep_cases())
+def test_greedy_step_matches_per_direction_reference(case):
+    z, dirs, obj, box, mode = case
+    got = _outcome(lambda: greedy_step(z, dirs, obj, box, mode))
+    want = _outcome(lambda: _reference_step(z, dirs, obj, box, mode))
+    assert got == want
+    # every direction the bitsets reject has exact step bound 0
+    table = DirectionTable(dirs)
+    live = set(table.live(z, box.lower, box.upper))
+    for i, g in enumerate(dirs):
+        if i not in live:
+            assert max_step(z, g, box, "rational") == 0
+
+
+def test_greedy_step_unbounded_ray_behind_blocked_directions():
+    # coordinate 1 sits on its lower bound, so (0, -1) is rejected by the
+    # bitsets; the unbounded improving ray (1, 0) must still be found
+    box = FeasibleBox(Mat((), cols=2), (), (0, 0), (None, 4))
+    dirs = ((0, -1), (0, 1), (1, 0))
+    with pytest.raises(UnboundedObjective):
+        greedy_step((Fraction(1, 2), 0), dirs, LinearObjective((-1, 1)), box, mode="rational")
+
+
+def test_direction_table_built_once_per_basis(monkeypatch):
+    built = []
+    init = DirectionTable.__init__
+
+    def counting(self, directions):
+        built.append(len(directions))
+        init(self, directions)
+
+    monkeypatch.setattr(DirectionTable, "__init__", counting)
+    G = graver(EX_A)
+    unit_rows = tuple(tuple(int(j == i) for j in range(6)) for i in range(6))
+    obj = CompositeObjective((0,) * 6, tuple((r, SQ) for r in unit_rows))
+    for start in (EX_Z0, (0, 0, 1, 2, 2, 0), (1, 0, 0, 0, 1, 1)):
+        solve_ip_greedy(start, G, obj, EX_BOX)
+    assert built == [len(G)]
+    assert G.sweep_table is G.sweep_table
+    # a plain direction list gets one table per solve, not one per sweep
+    z, trace = solve_ip_greedy((0, 0, 1, 2, 2, 0), G.elements, obj, EX_BOX)
+    assert len(trace) >= 1
+    assert built == [len(G), len(G)]

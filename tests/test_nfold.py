@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import graveropt.nfold as nfold
 from graveropt.augment import FeasibleBox, solve_ip_greedy
 from graveropt.bruteforce import enumerate_feasible, solve_oracle
 from graveropt.errors import DimMismatch, Infeasible, NotStabilized, NTooSmall
@@ -310,3 +311,30 @@ def test_instance_requires_shared_rows():
                 comp((0, 0), (((0, 1), SQ),)),
             ),
         )
+
+
+def test_solve_nfold_builds_matrix_once(monkeypatch):
+    # box(), the direct test set and the walk share one block matrix
+    built = []
+    real = nfold.build_nfold_matrix
+
+    def counting(A, B, N):
+        built.append(N)
+        return real(A, B, N)
+
+    monkeypatch.setattr(nfold, "build_nfold_matrix", counting)
+    rows = (((1, 0), SQ), ((0, 1), SQ))
+    inst = NFoldInstance(
+        A=A11,
+        B=B10,
+        N=2,
+        b0=(1,),
+        b=((2,), (2,)),
+        upper=((5, 5), (5, 5)),
+        objective=(comp((1, 0), rows), comp((0, 1), rows)),
+    )
+    box = inst.box()
+    z, _ = solve_nfold(inst, z0=(1, 1, 0, 2))
+    box.check_point(z.flatten())
+    assert inst.matrix() is box.A
+    assert built == [2]
