@@ -22,6 +22,12 @@ search and the objective delta run only for the rest.  The table is
 built once per test set (GraverBasis and CircuitSet cache it), not once
 per sweep.
 
+solve_ip_greedy is the one integer augmentation loop.  It takes a move
+source: a test set (a direction list, GraverBasis, CircuitSet or
+DirectionTable), swept by greedy_step, or any object with a
+step(z, obj, box) method returning a GreedyStep and a length, such as
+the two-stage block assembler of twostage.BlockMoves.
+
 Step lengths along a fixed direction are found by exact three-point
 bisection on integers; all arithmetic is int/Fraction.
 """
@@ -287,6 +293,11 @@ class DirectionTable:
     def __len__(self):
         return len(self.directions)
 
+    def step(self, z, obj, box):
+        """The integer greedy_step over this table: the move source
+        interface of solve_ip_greedy."""
+        return greedy_step(z, self, obj, box, "integer")
+
     def live(self, z, lower, upper):
         """Indices, ascending, of the directions not blocked at z by a
         coordinate on its bound."""
@@ -356,7 +367,7 @@ def _per_coordinate(obj):
     return coord
 
 
-def greedy_step(z, S, obj, box, mode="integer", threads=None):
+def greedy_step(z, S, obj, box, mode="integer"):
     """Best single move from z: minimize obj(z + a*g) over g in S and
     feasible a > 0.
 
@@ -368,8 +379,7 @@ def greedy_step(z, S, obj, box, mode="integer", threads=None):
     objectives, where only the bound endpoint can be optimal.  Returns
     the zero step when nothing strictly improves.  Ties break by
     (new value, step length, direction) so the result is deterministic
-    and independent of evaluation order.  threads is accepted and has
-    no effect.
+    and independent of evaluation order.
     """
     z = box.check_point(z)
     cur = evaluate(obj, z)
@@ -453,16 +463,17 @@ def _h_telemetry(obj, box, warn_factor):
     return h
 
 
-def solve_ip_greedy(z0, basis, obj, box, threads=None, h_warn_factor=8):
+def solve_ip_greedy(z0, basis, obj, box, h_warn_factor=8):
     """Greedy augmentation to integer optimality over a finite box.
 
-    basis must be the conformal test set of box.A (projected composite
-    test set for composite objectives); that is what makes the final
-    point a certified global optimum rather than a local stopping point.
-    Pass the GraverBasis itself, not its elements, so repeated solves
-    share its DirectionTable; a plain direction list gets a table for
-    this solve.  Returns (optimum, trace); the trace holds every strict
-    decrease.  threads is accepted and has no effect.
+    basis is the move source.  A test set must be the conformal test set
+    of box.A (projected composite test set for composite objectives);
+    that is what makes the final point a certified global optimum rather
+    than a local stopping point.  Pass the GraverBasis itself, not its
+    elements, so repeated solves share its DirectionTable; a plain
+    direction list gets a table for this solve.  Any other object with
+    step(z, obj, box) and len() is used as is.  Returns (optimum,
+    trace); the trace holds every strict decrease.
     """
     z = box.check_point(z0)
     if not all(isinstance(x, int) for x in z):
@@ -475,18 +486,18 @@ def solve_ip_greedy(z0, basis, obj, box, threads=None, h_warn_factor=8):
     else:
         n_eff = max(1, 2 * n - 2)
     h = _h_telemetry(obj, box, h_warn_factor)
-    table = _sweep_table(basis)
+    moves = basis if hasattr(basis, "step") else _sweep_table(basis)
     steps = []
     cur = evaluate(obj, z)
     while True:
-        st = greedy_step(z, table, obj, box, "integer")
+        st = moves.step(z, obj, box)
         if st.is_zero:
             break
         assert st.new_value < cur
         steps.append(TraceStep(cur, st.new_value, st.direction, st.steplen))
         z = _add_scaled(z, st.steplen, st.direction)
         cur = st.new_value
-    return z, AugmentTrace(tuple(steps), h, n_eff, basis_size=len(table))
+    return z, AugmentTrace(tuple(steps), h, n_eff, basis_size=len(moves))
 
 
 def _shrink_to_vertex(z, circuits, c, box):
@@ -528,7 +539,7 @@ def _shrink_to_vertex(z, circuits, c, box):
         assert moves <= n, "support can shrink at most dim times"
 
 
-def solve_lp_circuit(z0, circuits, c, box, threads=None):
+def solve_lp_circuit(z0, circuits, c, box):
     """Linear program over the box, walked along circuit directions.
 
     Alternates one greedy circuit step with the support-shrinking phase
@@ -537,17 +548,13 @@ def solve_lp_circuit(z0, circuits, c, box, threads=None):
     zero (the shrinking phase identifies "leaves the support" with
     "reaches zero").  Returns (optimum, trace): iterations are the
     strict decreases, shrink_moves counts the equal-value moves.
-    threads is accepted and has no effect.
     """
     if any(l != 0 for l in box.lower):
         raise DomainError("circuit LP solver requires zero lower bounds")
     obj = c if isinstance(c, LinearObjective) else LinearObjective(tuple(c))
     z = box.check_point(z0)
     n = box.dim
-    try:
-        h = range_bound(obj, box.lower, box.upper)
-    except (UnboundedBox, DomainError):
-        h = None
+    h = _h_telemetry(obj, box, None)
     steps = []
     shrunk = 0
     while True:

@@ -36,10 +36,10 @@ from .errors import (
 )
 from .graver import circuits, graver, graver_composite
 from .linalg import Mat
-from .models import _decode_instance, decode
-from .nfold import DIRECT_THRESHOLD, NFoldInstance, solve_nfold, _unit_rows_only
+from .models import _decode_instance, _decode_lowered
+from .nfold import DIRECT_THRESHOLD, solve_nfold, _unit_rows_only
 from .objective import CompositeObjective, LinearObjective, evaluate
-from .twostage import TwoStageInstance, solve_twostage, _flatten_objective
+from .twostage import solve_twostage
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -122,23 +122,19 @@ def _ip_directions(box, objective):
 
 
 def _flat_problem(kind, obj):
-    """(box, objective) of the flat integer program behind any document."""
+    """(box, objective, lowered) of the flat integer program behind any
+    document.  lowered is what the document's solver takes: the loaded
+    object itself, or for decode the (NFoldInstance, q) pair of
+    _decode_instance."""
     if kind in ("ip", "lp"):
         box, objective, _ = obj
-        return box, objective
-    if isinstance(obj, NFoldInstance):
-        return obj.box(), obj.flatten_objective()
-    if isinstance(obj, TwoStageInstance):
-        box = FeasibleBox(
-            obj.matrix(),
-            sum(obj.b, ()),
-            (0,) * (obj.m + obj.N * obj.n),
-            obj.ux + sum(obj.uy, ()),
-        )
-        return box, _flatten_objective(obj)
-    # decode spec
-    inst, _ = _decode_instance(obj)
-    return inst.box(), inst.flatten_objective()
+        return box, objective, obj
+    if kind == "decode":
+        lowered = _decode_instance(obj)
+        inst = lowered[0]
+    else:
+        inst = lowered = obj
+    return inst.box(), inst.flatten_objective(), lowered
 
 
 def cmd_solve(args):
@@ -147,8 +143,9 @@ def cmd_solve(args):
     if args.mode == "lp" and kind not in ("ip", "lp"):
         raise SchemaError("lp mode applies only to flat box documents")
     try:
+        box, objective, lowered = _flat_problem(kind, obj)
         if kind in ("ip", "lp"):
-            box, objective, z0 = obj
+            z0 = obj[2]
             mode = args.mode or kind
             if z0 is None:
                 z0 = bruteforce.first_feasible(box)
@@ -161,38 +158,22 @@ def cmd_solve(args):
                 z, trace = solve_lp_circuit(z0, circuits(box.A), objective, box)
             else:
                 z, trace = solve_ip_greedy(z0, _ip_directions(box, objective), objective, box)
-            value = _selfcheck(box, objective, z, trace)
-        elif isinstance(obj, NFoldInstance):
-            z, trace = solve_nfold(
+        elif kind == "twostage":
+            point, trace = solve_twostage(obj, cap=args.graver_cap or 4)
+            z = point.flatten()
+        elif kind == "decode":
+            res, point = _decode_lowered(obj, *lowered)
+            z, trace = point.flatten(), res.trace
+        else:
+            point, trace = solve_nfold(
                 obj,
                 graver_cap=args.graver_cap or 6,
                 direct_threshold=args.direct_threshold,
             )
-            z = z.flatten()
-            value = _selfcheck(obj.box(), obj.flatten_objective(), z, trace)
-        elif isinstance(obj, TwoStageInstance):
-            point, trace = solve_twostage(obj, cap=args.graver_cap or 4)
-            try:
-                obj.check_feasible(point)
-            except GraverOptError as e:
-                raise GraverOptError("self-verification failed: %s" % (e,))
             z = point.flatten()
-            value = obj.value(point)
-            vals = trace.values()
-            if vals and value != vals[-1]:
-                raise GraverOptError("self-verification failed: value mismatch")
-        else:
-            res = decode(obj)
-            inst, _ = _decode_instance(obj)
-            m = obj.side + 1
-            z = tuple(
-                res.transmitted[i][j][k]
-                for k in range(m)
-                for i in range(m)
-                for j in range(m)
-            )
-            trace = res.trace
-            _selfcheck(inst.box(), inst.flatten_objective(), z, trace)
+        value = _selfcheck(box, objective, z, trace)
+        if kind == "decode":
+            # the l_p distance itself, not the surrogate objective
             value = res.distance
     except (Infeasible, InfeasibleBase) as e:
         print("infeasible: %s" % (e,), file=sys.stderr)
@@ -210,14 +191,9 @@ def cmd_solve(args):
 
 def cmd_basis(args):
     kind, obj = load_instance(_read_doc(args.path))
-    if kind in ("ip", "lp"):
-        box, objective, _ = obj
-        A = box.A
-        C = _composite_rows(objective, A.cols)
-    else:
-        fbox, fobj = _flat_problem(kind, obj)
-        A = fbox.A
-        C = _composite_rows(fobj, A.cols)
+    box, objective, _ = _flat_problem(kind, obj)
+    A = box.A
+    C = _composite_rows(objective, A.cols)
     if args.variant == "circuits":
         elements = circuits(A).elements
     elif args.variant == "graver":
@@ -239,7 +215,7 @@ def cmd_basis(args):
 def cmd_oracle(args):
     t0 = perf_counter()
     kind, obj = load_instance(_read_doc(args.path))
-    box, objective = _flat_problem(kind, obj)
+    box, objective, _ = _flat_problem(kind, obj)
     if args.radius is not None:
         upper = tuple(
             l + args.radius if u is None else u for l, u in zip(box.lower, box.upper)

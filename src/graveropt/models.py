@@ -582,6 +582,14 @@ def decode(spec):
     if not isinstance(spec, DecodingSpec):
         raise DomainError("decode takes a DecodingSpec")
     inst, q = _decode_instance(spec)
+    return _decode_lowered(spec, inst, q)[0]
+
+
+def _decode_lowered(spec, inst, q):
+    """Solve the instance and exponent that _decode_instance(spec)
+    lowered spec to.  Returns (DecodeResult, N-fold optimum): the walk
+    starts at the lexicographically first feasible point and sweeps the
+    directly computed test set."""
     box = inst.box()
     start = bruteforce.first_feasible(box)
     if start is None:
@@ -612,6 +620,7 @@ def decode(spec):
             abs(transmitted[i][j][k] - spec.received[i][j][k]) ** spec.p
             for (i, j, k) in coords
         )
-    return DecodeResult(
+    res = DecodeResult(
         message=message, distance=distance, q=q, transmitted=transmitted, trace=trace
     )
+    return res, z

@@ -374,7 +374,7 @@ def _split_residual(r):
     return plus, minus
 
 
-def phase_one(inst, threads=None):
+def phase_one(inst):
     """Feasible block point of the instance, or a certified Infeasible.
 
     Tier one treats each block alone: A x = b^(i) with slack columns
@@ -383,7 +383,6 @@ def phase_one(inst, threads=None):
     way, with slack columns attached to the coupling rows only.  Both
     tiers certify a positive slack optimum as infeasibility because the
     greedy walk uses the complete test set of the extended matrix.
-    threads is accepted and has no effect.
     """
     A, B, N, n = inst.A, inst.B, inst.N, inst.n
     da, db = A.rows, B.rows
@@ -395,22 +394,12 @@ def phase_one(inst, threads=None):
             cap = max(abs(bb[r]) for bb in inst.b) if inst.b else 0
             cap += sum(abs(A.data[r][j]) * max(u[j] for u in inst.upper) for j in range(n))
             slack_cap.append(cap)
-        basis_cache = _graver_cached(E1)
         for i in range(N):
-            rhs = inst.b[i]
-            plus, minus = _split_residual(rhs)
-            box = FeasibleBox(
-                E1,
-                rhs,
-                (0,) * E1.cols,
-                tuple(inst.upper[i]) + tuple(slack_cap) * 2,
-            )
-            z0 = (0,) * n + plus + minus
-            cost = _ones_cost(E1.cols, n)
-            z, _ = solve_ip_greedy(z0, basis_cache, cost, box, h_warn_factor=None)
-            if evaluate(cost, z) > 0:
+            plus, minus = _split_residual(inst.b[i])
+            x = _min_slack(E1, inst.b[i], inst.upper[i], slack_cap * 2, (0,) * n, plus + minus)
+            if x is None:
                 raise Infeasible("block %d: A x = b^(%d) has no point in the bounds" % (i, i))
-            xs.append(z[:n])
+            xs.append(x)
     else:
         xs = [(0,) * n for _ in range(N)]
     if db == 0:
@@ -448,7 +437,7 @@ def phase_one(inst, threads=None):
     return BlockVector.from_flat(x_part, N, n)
 
 
-def solve_nfold(inst, threads=None, graver_cap=6, direct_threshold=DIRECT_THRESHOLD, z0=None):
+def solve_nfold(inst, graver_cap=6, direct_threshold=DIRECT_THRESHOLD, z0=None):
     """Global optimum of the instance with an augmentation trace.
 
     Directions come from the test set of the full matrix (with the
@@ -457,8 +446,7 @@ def solve_nfold(inst, threads=None, graver_cap=6, direct_threshold=DIRECT_THRESH
     variables the set is computed directly; beyond that it is lifted
     from the stabilized seed generators.  Then phase one and the greedy
     walk; a caller that already holds a feasible point can pass it as z0
-    (a BlockVector or flat tuple) to skip phase one.  threads is
-    accepted and has no effect.
+    (a BlockVector or flat tuple) to skip phase one.
     """
     n, N = inst.n, inst.N
     C = inst.shared_rows()

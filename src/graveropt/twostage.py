@@ -17,17 +17,22 @@ stacked matrices (T over C) and ((W, 0) over (D, I)), mirroring the
 plain block construction.  Step lengths are enumerated directly over
 the box span, which is the one deliberate concession to simplicity over
 asymptotic step-count guarantees.
+
+The assembled moves feed the shared integer loop: BlockMoves is the
+move source that augment.solve_ip_greedy walks over the flat box and
+objective of the instance (TwoStageInstance.box and flatten_objective),
+both for the main solve and for phase one.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .augment import GreedyStep, TraceStep, AugmentTrace
-from .errors import DimMismatch, DomainError, Infeasible, NotStabilized, UnboundedBox
+from .augment import FeasibleBox, GreedyStep, solve_ip_greedy
+from .errors import DimMismatch, DomainError, Infeasible, NotStabilized
 from .graver import graver
 from .linalg import Mat, is_zero
-from .objective import CompositeObjective, LinearObjective, evaluate, range_bound
+from .objective import CompositeObjective, evaluate
 
 __all__ = [
     "TwoStageInstance",
@@ -37,6 +42,7 @@ __all__ = [
     "extract_building_blocks",
     "improving_vector",
     "greedy_step_twostage",
+    "BlockMoves",
     "solve_twostage",
 ]
 
@@ -47,17 +53,12 @@ def build_twostage_matrix(T, W, N):
         raise DimMismatch("T and W must share a row count")
     if N < 1:
         raise DomainError("N must be at least 1")
-    d, n = T.rows, W.cols
-    body = []
+    n = W.cols
+    rows = []
     for i in range(N):
-        parts = [T]
-        if i:
-            parts.append(Mat.zeros(d, i * n))
-        parts.append(W)
-        if i < N - 1:
-            parts.append(Mat.zeros(d, (N - 1 - i) * n))
-        body.append(Mat.hstack(*parts))
-    return Mat.vstack(*body)
+        left, right = (0,) * (i * n), (0,) * ((N - 1 - i) * n)
+        rows.extend(t + left + w + right for t, w in zip(T.data, W.data))
+    return Mat(rows, cols=T.cols + N * n)
 
 
 @dataclass(frozen=True)
@@ -277,6 +278,27 @@ def greedy_step_twostage(z, blocks, inst):
     return GreedyStep(flat, alpha, total)
 
 
+class BlockMoves:
+    """Move source of augment.solve_ip_greedy for a two-stage instance.
+
+    step() takes the flat point over inst.box() and returns
+    greedy_step_twostage's best assembled move from it; len() is the
+    number of (v, w) block pairs in the pool.
+    """
+
+    def __init__(self, blocks, inst):
+        self.blocks = blocks
+        self.inst = inst
+
+    def __len__(self):
+        return sum(len(self.blocks.pool(v)) for v in self.blocks.first_stage)
+
+    def step(self, z, obj, box):
+        inst = self.inst
+        point = TwoStagePoint.from_flat(z, inst.m, inst.N, inst.n)
+        return greedy_step_twostage(point, self.blocks, inst)
+
+
 @dataclass(frozen=True)
 class TwoStageInstance:
     T: Mat
@@ -344,6 +366,34 @@ class TwoStageInstance:
     def matrix(self):
         return build_twostage_matrix(self.T, self.W, self.N)
 
+    def box(self):
+        flat_b = sum(self.b, ())
+        flat_u = self.ux + sum(self.uy, ())
+        if any(u < 0 for u in flat_u):
+            # the lower bounds are all 0, so the program has no point
+            raise Infeasible("an upper bound is negative: the box is empty")
+        dim = self.m + self.N * self.n
+        return FeasibleBox(self.matrix(), flat_b, (0,) * dim, flat_u)
+
+    def flatten_objective(self):
+        m, n, N = self.m, self.n, self.N
+        dim = m + N * n
+        c = [0] * dim
+        rows = []
+        for i, f in enumerate(self.objective):
+            for k in range(m):
+                c[k] += f.c[k]
+            for k in range(n):
+                c[m + i * n + k] += f.c[m + k]
+            for r, fn in f.rows:
+                row = [0] * dim
+                for k in range(m):
+                    row[k] = r[k]
+                for k in range(n):
+                    row[m + i * n + k] = r[m + k]
+                rows.append((tuple(row), fn))
+        return CompositeObjective(tuple(c), tuple(rows))
+
     def value(self, z):
         return sum(evaluate(f, z.x + y) for f, y in zip(self.objective, z.ys))
 
@@ -383,84 +433,37 @@ def _phase_one_twostage(inst, cap):
     slack_cost = (0,) * m + (0,) * n + (1,) * (2 * d)
     slack_obj = tuple(CompositeObjective(slack_cost, ()) for _ in range(N))
     uy_ext = tuple(tuple(u) + tuple(caps) * 2 for u in inst.uy)
-    ys0 = []
+    start = (0,) * m
     for bvec in inst.b:
         plus = tuple(max(v, 0) for v in bvec)
         minus = tuple(max(-v, 0) for v in bvec)
-        ys0.append((0,) * n + plus + minus)
+        start += (0,) * n + plus + minus
     slack_inst = TwoStageInstance(inst.T, W_ext, N, inst.b, inst.ux, uy_ext, slack_obj)
-    z = TwoStagePoint((0,) * m, tuple(ys0))
-    blocks = extract_building_blocks(inst.T, W_ext, cap=cap)
-    while True:
-        st = greedy_step_twostage(z, blocks, slack_inst)
-        if st.is_zero:
-            break
-        z = _apply(z, st, m, N, n + 2 * d)
+    moves = BlockMoves(extract_building_blocks(inst.T, W_ext, cap=cap), slack_inst)
+    flat, _ = solve_ip_greedy(
+        start, moves, slack_inst.flatten_objective(), slack_inst.box(), h_warn_factor=None
+    )
+    z = TwoStagePoint.from_flat(flat, m, N, n + 2 * d)
     if slack_inst.value(z) > 0:
         raise Infeasible("slack optimum is positive: no feasible point in the bounds")
     return TwoStagePoint(z.x, tuple(y[:n] for y in z.ys))
-
-
-def _apply(z, step, m, N, n):
-    v = step.direction[:m]
-    x = tuple(a + step.steplen * d for a, d in zip(z.x, v))
-    ys = []
-    for i in range(N):
-        w = step.direction[m + i * n : m + (i + 1) * n]
-        ys.append(tuple(a + step.steplen * d for a, d in zip(z.ys[i], w)))
-    return TwoStagePoint(x, ys)
 
 
 def solve_twostage(inst, cap=4):
     """Global optimum of the instance with an augmentation trace.
 
     Phase one repairs feasibility through scenario slack columns; the
-    main loop assembles greedy moves from the stabilized block pools
-    until none improves, which certifies optimality.
+    shared integer loop then walks the assembled moves of the stabilized
+    block pools until none improves, which certifies optimality.
     """
     C, D = inst.rows_CD()
     blocks = extract_building_blocks(inst.T, inst.W, C, D, cap=cap)
-    z = _phase_one_twostage(inst, cap)
-    inst.check_feasible(z)
-    m, n, N = inst.m, inst.n, inst.N
-    n_eff = max(1, 2 * (m + N * n + N * inst.s) - 2)
-    try:
-        h = range_bound(
-            _flatten_objective(inst),
-            (0,) * (m + N * n),
-            inst.ux + sum(inst.uy, ()),
-        )
-    except (UnboundedBox, DomainError):
-        h = None
-    steps = []
-    cur = inst.value(z)
-    while True:
-        st = greedy_step_twostage(z, blocks, inst)
-        if st.is_zero:
-            break
-        assert st.new_value < cur
-        steps.append(TraceStep(cur, st.new_value, st.direction, st.steplen))
-        z = _apply(z, st, m, N, n)
-        cur = st.new_value
-    pairs = sum(len(blocks.pool(v)) for v in blocks.first_stage)
-    return z, AugmentTrace(tuple(steps), h, n_eff, basis_size=pairs)
-
-
-def _flatten_objective(inst):
-    m, n, N = inst.m, inst.n, inst.N
-    dim = m + N * n
-    c = [0] * dim
-    rows = []
-    for i, f in enumerate(inst.objective):
-        for k in range(m):
-            c[k] += f.c[k]
-        for k in range(n):
-            c[m + i * n + k] += f.c[m + k]
-        for r, fn in f.rows:
-            row = [0] * dim
-            for k in range(m):
-                row[k] = r[k]
-            for k in range(n):
-                row[m + i * n + k] = r[m + k]
-            rows.append((tuple(row), fn))
-    return CompositeObjective(tuple(c), tuple(rows))
+    start = _phase_one_twostage(inst, cap)
+    z, trace = solve_ip_greedy(
+        start.flatten(),
+        BlockMoves(blocks, inst),
+        inst.flatten_objective(),
+        inst.box(),
+        h_warn_factor=None,
+    )
+    return TwoStagePoint.from_flat(z, inst.m, inst.N, inst.n), trace

@@ -4,8 +4,11 @@ import sys
 
 import pytest
 
+from graveropt import cli, models, nfold
 from graveropt.cli import main
 from graveropt.documents import FORMAT_VERSION, parse, to_json
+from graveropt.nfold import BlockVector
+from graveropt.twostage import TwoStagePoint
 
 SQ_DOC = {"kind": "abs_power", "scale": 1, "power": 2, "shift": 0}
 
@@ -360,6 +363,132 @@ def test_threads_do_not_change_results(tmp_path, capsys):
             assert code == 0
             outs.add(canonical_without_wall(out))
         assert len(outs) == 1
+
+
+def _sq(shift):
+    return {"kind": "abs_power", "scale": 1, "power": 2, "shift": shift}
+
+
+def _comp(c, shifts):
+    rows = [
+        {"coeffs": [1 if k == j else 0 for k in range(len(c))], "fn": _sq(v)}
+        for j, v in enumerate(shifts)
+    ]
+    return {"kind": "composite", "c": list(c), "rows": rows}
+
+
+def _doc(kind, payload, objective):
+    return {"format_version": FORMAT_VERSION, "kind": kind, "payload": payload, "objective": objective}
+
+
+TWOSTAGE_PAYLOAD = {"T": [[1]], "W": [[1]], "N": 2, "b": [[2], [3]], "ux": [2], "uy": [[2], [3]]}
+TWOSTAGE_OBJ = {"kind": "blocks", "blocks": [_comp([0, 0], [0, 0])] * 2}
+DECODE_PAYLOAD = {"dims": [1, 1, 1], "u": 1, "U": 2, "received": [[[0, 1], [1, 1]], [[1, 1], [1, 2]]]}
+
+# One small document per kind, with its result document as recorded
+# before the solvers shared one lowering and one augmentation loop.
+GOLDEN_DOCS = {
+    "ip": knap_doc(z0=(3, 0)),
+    "lp": LP_DOC,
+    "nfold": _doc(
+        "nfold",
+        {"A": [[1, 1]], "B": [[1, 0], [0, 1]], "N": 2, "b": [[2], [2]], "b0": [2, 2],
+         "upper": [[2, 2], [2, 2]]},
+        {"kind": "blocks", "blocks": [_comp([0, 1], [2, 0]), _comp([1, 0], [0, 0])]},
+    ),
+    "transportation": _doc(
+        "transportation",
+        {"supplies": [2, 1], "demands": [1, 2], "caps": 2},
+        {"kind": "blocks", "blocks": [_comp([1, 3], [0, 0]), _comp([2, 0], [1, 0])]},
+    ),
+    "table3": _doc(
+        "table3",
+        {"L": 2, "M": 2, "N": 2, "caps": 1,
+         "r": [[1, 1], [1, 1]], "s": [[1, 1], [1, 1]], "t": [[1, 1], [1, 1]]},
+        {"kind": "blocks",
+         "blocks": [_comp([0, 3, 3, 0], [1, 0, 0, 1]), _comp([3, 0, 0, 3], [0, 1, 1, 0])]},
+    ),
+    "twostage": _doc("twostage", TWOSTAGE_PAYLOAD, TWOSTAGE_OBJ),
+    "decode-p1": _doc("decode", dict(DECODE_PAYLOAD, p=1), None),
+    "decode-pinf": _doc("decode", dict(DECODE_PAYLOAD, p="inf"), None),
+    "infeasible": _doc("twostage", dict(TWOSTAGE_PAYLOAD, b=[[2], [9]]), TWOSTAGE_OBJ),
+    "infeasible-box": _doc("twostage", dict(TWOSTAGE_PAYLOAD, ux=[-1]), TWOSTAGE_OBJ),
+    "unbounded": _doc(
+        "lp",
+        {"A": [[1, -1]], "b": [0], "lower": [0, 0], "upper": [None, None], "z0": [0, 0]},
+        {"kind": "linear", "c": [-1, -1]},
+    ),
+}
+
+GOLDEN_OUT = {
+    "ip": (0, '{"format_version":1,"kind":"result","point":[2,1],"stats":{"augment_steps":1,"basis_size":2,"directions_evaluated":4},"status":"optimal","trace":[{"direction":[-1,1],"steplen":1,"value_after":5,"value_before":9}],"value":"5"}\n'),
+    "lp": (0, '{"format_version":1,"kind":"result","point":[0,0,1,2,2,0],"stats":{"augment_steps":2,"basis_size":10,"directions_evaluated":30},"status":"optimal","trace":[{"direction":[0,-1,0,1,2,0],"steplen":1,"value_after":0,"value_before":1},{"direction":[0,0,1,0,0,-1],"steplen":1,"value_after":-1,"value_before":0}],"value":"-1"}\n'),
+    "nfold": (0, '{"format_version":1,"kind":"result","point":[2,0,0,2],"stats":{"augment_steps":1,"basis_size":2,"directions_evaluated":4},"status":"optimal","trace":[{"direction":[1,-1,-1,1],"steplen":2,"value_after":4,"value_before":16}],"value":"4"}\n'),
+    "transportation": (0, '{"format_version":1,"kind":"result","point":[1,0,1,1],"stats":{"augment_steps":1,"basis_size":2,"directions_evaluated":4},"status":"optimal","trace":[{"direction":[1,-1,-1,1],"steplen":1,"value_after":5,"value_before":9}],"value":"5"}\n'),
+    "table3": (0, '{"format_version":1,"kind":"result","point":[1,0,0,1,0,1,1,0],"stats":{"augment_steps":1,"basis_size":2,"directions_evaluated":4},"status":"optimal","trace":[{"direction":[1,-1,-1,1,-1,1,1,-1],"steplen":1,"value_after":0,"value_before":20}],"value":"0"}\n'),
+    "twostage": (0, '{"format_version":1,"kind":"result","point":[1,1,2],"stats":{"augment_steps":1,"basis_size":2,"directions_evaluated":4},"status":"optimal","trace":[{"direction":[1,-1,-1],"steplen":1,"value_after":7,"value_before":13}],"value":"7"}\n'),
+    "decode-p1": (0, '{"format_version":1,"kind":"result","point":[1,1,1,1,1,1,1,1],"stats":{"augment_steps":1,"basis_size":2,"directions_evaluated":4},"status":"optimal","trace":[{"direction":[1,-1,-1,1,-1,1,1,-1],"steplen":1,"value_after":2,"value_before":6}],"value":"2"}\n'),
+    # p = inf reports the l_inf distance, not the surrogate objective
+    "decode-pinf": (0, '{"format_version":1,"kind":"result","point":[1,1,1,1,1,1,1,1],"stats":{"augment_steps":1,"basis_size":2,"directions_evaluated":4},"status":"optimal","trace":[{"direction":[1,-1,-1,1,-1,1,1,-1],"steplen":1,"value_after":2,"value_before":6}],"value":"1"}\n'),
+    "infeasible": (2, '{"format_version":1,"kind":"result","stats":{"augment_steps":0,"basis_size":0,"directions_evaluated":0},"status":"infeasible"}\n'),
+    "infeasible-box": (2, '{"format_version":1,"kind":"result","stats":{"augment_steps":0,"basis_size":0,"directions_evaluated":0},"status":"infeasible"}\n'),
+    "unbounded": (3, '{"format_version":1,"kind":"result","stats":{"augment_steps":0,"basis_size":0,"directions_evaluated":0},"status":"unbounded"}\n'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DOCS))
+def test_solve_trace_golden_output(tmp_path, capsys, name):
+    path = write_doc(tmp_path, GOLDEN_DOCS[name])
+    code, out, _ = run(capsys, ["solve", path, "--trace"])
+    assert (code, canonical_without_wall(out)) == GOLDEN_OUT[name]
+
+
+def test_solve_decode_builds_matrix_once(tmp_path, capsys, monkeypatch):
+    # the CLI lowers the document once; decoding and the self-check share it
+    built = []
+    real = nfold.build_nfold_matrix
+
+    def counting(A, B, N):
+        built.append(N)
+        return real(A, B, N)
+
+    monkeypatch.setattr(nfold, "build_nfold_matrix", counting)
+    path = write_doc(tmp_path, GOLDEN_DOCS["decode-p1"])
+    code, out, _ = run(capsys, ["solve", path])
+    assert code == 0
+    assert built == [2]
+
+
+def _off_constraints(result):
+    """The solver's result with its first coordinate raised by one, which
+    breaks an equality constraint of every case below."""
+    point, trace = result
+    if isinstance(point, BlockVector):
+        first = point.blocks[0]
+        return BlockVector(((first[0] + 1,) + first[1:],) + point.blocks[1:]), trace
+    if isinstance(point, TwoStagePoint):
+        return TwoStagePoint((point.x[0] + 1,) + point.x[1:], point.ys), trace
+    return (point[0] + 1,) + tuple(point[1:]), trace
+
+
+@pytest.mark.parametrize(
+    "name, module, solver",
+    [
+        ("ip", cli, "solve_ip_greedy"),
+        ("lp", cli, "solve_lp_circuit"),
+        ("nfold", cli, "solve_nfold"),
+        ("twostage", cli, "solve_twostage"),
+        ("decode-p1", models, "solve_nfold"),
+    ],
+)
+def test_selfcheck_rejects_broken_point(tmp_path, capsys, monkeypatch, name, module, solver):
+    real = getattr(module, solver)
+    monkeypatch.setattr(module, solver, lambda *a, **k: _off_constraints(real(*a, **k)))
+    path = write_doc(tmp_path, GOLDEN_DOCS[name])
+    code, out, err = run(capsys, ["solve", path])
+    assert code == 1
+    assert "self-verification failed" in err
+    assert out == ""
 
 
 def test_console_script_runs(tmp_path):
