@@ -28,6 +28,9 @@ DirectionTable), swept by greedy_step, or any object with a
 step(z, obj, box) method returning a GreedyStep and a length, such as
 the two-stage block assembler of twostage.BlockMoves.
 
+feasible_start finds a start point with the same move sources: it
+walks the bound violation down from an integer solution of A z = b.
+
 Step lengths along a fixed direction are found by exact three-point
 bisection on integers; all arithmetic is int/Fraction.
 """
@@ -42,12 +45,13 @@ from .errors import (
     DimMismatch,
     DomainError,
     EmptyInterval,
+    Infeasible,
     InfeasibleBase,
     UnboundedBox,
     UnboundedObjective,
 )
-from .linalg import Mat, dot
-from .objective import CompositeObjective, LinearObjective, _norm, evaluate, range_bound
+from .linalg import Mat, dot, integer_solution
+from .objective import AbsPower, CompositeObjective, LinearObjective, _norm, evaluate, range_bound
 
 __all__ = [
     "UNBOUNDED",
@@ -60,6 +64,7 @@ __all__ = [
     "max_step",
     "greedy_step",
     "solve_ip_greedy",
+    "feasible_start",
     "solve_lp_circuit",
     "naive_lp_greedy",
 ]
@@ -498,6 +503,36 @@ def solve_ip_greedy(z0, basis, obj, box, h_warn_factor=8):
         z = _add_scaled(z, st.steplen, st.direction)
         cur = st.new_value
     return z, AugmentTrace(tuple(steps), h, n_eff, basis_size=len(moves))
+
+
+def feasible_start(box, moves):
+    """A point of the finite integer box with A z = b, or Infeasible.
+
+    Starts at linalg.integer_solution, widens the box to contain it and
+    walks sum_j |z_j - l_j| + |z_j - u_j| down along moves, a test set
+    of box.A or twostage.BlockMoves.  The sum is sum_j (u_j - l_j)
+    exactly on the box, and moves certify its minimum, since they are a
+    test set for every separable convex objective over every box.
+    """
+    z0 = integer_solution(box.A, box.b)
+    if z0 is None:
+        raise Infeasible("A z = b has no integer solution")
+    relaxed = FeasibleBox(
+        box.A,
+        box.b,
+        tuple(map(min, box.lower, z0)),
+        tuple(map(max, box.upper, z0)),
+    )
+    dim = box.dim
+    rows = []
+    for j, (l, u) in enumerate(zip(box.lower, box.upper)):
+        unit = (0,) * j + (1,) + (0,) * (dim - j - 1)
+        rows += [(unit, AbsPower(1, 1, l)), (unit, AbsPower(1, 1, u))]
+    violation = CompositeObjective((0,) * dim, tuple(rows))
+    z, _ = solve_ip_greedy(z0, moves, violation, relaxed, h_warn_factor=None)
+    if evaluate(violation, z) > sum(u - l for l, u in zip(box.lower, box.upper)):
+        raise Infeasible("no integer point of A z = b lies in the bounds")
+    return z
 
 
 def _shrink_to_vertex(z, circuits, c, box):

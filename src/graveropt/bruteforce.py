@@ -74,6 +74,9 @@ def enumerate_feasible(box):
             raise DomainError("enumeration needs a finite integer box")
         if l > u:
             return
+    if not box.dim and any(box.b):
+        # with no coordinate to place, _scan would check no row
+        return
     yield from _scan(box)
 
 

@@ -11,7 +11,9 @@ Conventions used across the package:
 kernel_basis computes a lattice basis of ker(A) over the integers by
 unimodular row reduction of [A^T | I]: the rows whose A^T part vanishes
 give the basis.  Because it is the full integer kernel of A, the lattice
-is saturated (primitive basis, no finite index defect).
+is saturated (primitive basis, no finite index defect).  The same
+reduction U A^T = H solves A z = b over the integers: H^T y = b is
+triangular on the pivot rows of H, and z = U^T y.
 """
 
 from math import gcd
@@ -23,6 +25,7 @@ from ._kernels_py import sign_compatible as _sign_compatible_fast
 __all__ = [
     "Mat",
     "kernel_basis",
+    "integer_solution",
     "rank",
     "is_primitive",
     "primitive_part",
@@ -223,26 +226,49 @@ def rank(A):
     return _echelon(rows)
 
 
+def _tracked_echelon(A):
+    """(H, U, rank) with U A^T = H in echelon form and U unimodular, as
+    lists of rows."""
+    left = _transpose_rows(A)
+    right = [[1 if i == j else 0 for j in range(A.cols)] for i in range(A.cols)]
+    return left, right, _echelon(left, track=right)
+
+
 def kernel_basis(A):
     """Basis of the saturated integer kernel lattice of A, canonically sorted.
 
     Empty tuple when the kernel is trivial.  Rows with more columns than
     rank always produce cols - rank generators.
     """
-    n = A.cols
-    if n == 0:
-        return ()
-    left = _transpose_rows(A)
-    right = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if A.rows == 0:
-        r = 0
-    else:
-        r = _echelon(left, track=right)
+    _, right, r = _tracked_echelon(A)
     gens = []
-    for i in range(r, n):
+    for i in range(r, A.cols):
         v = tuple(right[i])
         if not is_zero(v):
             gens.append(v)
     # normalize sign so each generator is lexicographically >= its negation
     gens = [max(v, vec_neg(v)) for v in gens]
     return tuple(sorted(gens))
+
+
+def integer_solution(A, b):
+    """An integer z with A z = b, or None when there is none.
+
+    z = U^T y solves it exactly when H^T y = b.  The pivot of each
+    nonzero row of H fixes one y entry by forward substitution, where an
+    inexact division means no integer solution; the other entries are
+    kernel coordinates and stay 0.
+    """
+    b = tuple(b)
+    if len(b) != A.rows:
+        raise DimMismatch("b has %d entries, A has %d rows" % (len(b), A.rows))
+    left, right, r = _tracked_echelon(A)
+    y = []
+    for i in range(r):
+        p = next(k for k, a in enumerate(left[i]) if a)
+        q, rem = divmod(b[p] - sum(left[k][p] * y[k] for k in range(i)), left[i][p])
+        if rem:
+            return None
+        y.append(q)
+    z = tuple(sum(y[i] * right[i][j] for i in range(r)) for j in range(A.cols))
+    return z if A.mul_vec(z) == b else None

@@ -15,27 +15,27 @@ Composite objectives ride along by folding their shared coefficient
 rows into the block: [[A,0],[rows,I]] is again a block matrix of the
 same shape, so the same lifting applies.
 
-Feasibility (phase one) is a two-tier slack construction: first each
-block alone against its A-rows, then the coupling rows with slack
-columns attached to them only.  Both tiers start from a trivially
-feasible slack point and greedily drive the slack sum to zero; a
-positive optimum is a certificate of infeasibility because the greedy
-walk uses the complete test set of the extended matrix.
+Feasibility (phase one) uses the test set the solve walks anyway:
+augment.feasible_start takes an integer solution of the block
+equations, widens the bounds to contain it, and walks the separable
+bound violation down along that test set.  A test set of the matrix
+serves every separable convex objective over every box, so a violation
+left at the end certifies infeasibility.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .augment import FeasibleBox, solve_ip_greedy
+from .augment import DirectionTable, FeasibleBox, feasible_start, solve_ip_greedy
 from .errors import DimMismatch, DomainError, Infeasible, NotStabilized, NTooSmall
 from .graver import GraverBasis, graver, graver_composite
-from .linalg import Mat, is_zero, vec_neg
-from .objective import CompositeObjective, LinearObjective, evaluate
+from .linalg import Mat, is_zero
+from .objective import CompositeObjective
 
-# Repeated solves over the same constraint matrix (decode batches, the
-# per-block feasibility subproblems) reuse the test set; matrices are
-# immutable and hashable so the cache key is the matrix itself.
+# Repeated solves over the same constraint matrix (decode batches,
+# documents of one shape) reuse the test set; matrices are immutable
+# and hashable so the cache key is the matrix itself.
 _graver_cached = lru_cache(maxsize=64)(graver)
 _graver_composite_cached = lru_cache(maxsize=64)(graver_composite)
 
@@ -315,6 +315,9 @@ class NFoldInstance:
     def box(self):
         flat_b = self.b0 + sum(self.b, ())
         flat_u = sum(self.upper, ())
+        if any(u < 0 for u in flat_u):
+            # the lower bounds are all 0, so the program has no point
+            raise Infeasible("an upper bound is negative: the box is empty")
         dim = self.N * self.n
         return FeasibleBox(self.matrix(), flat_b, (0,) * dim, flat_u)
 
@@ -341,149 +344,68 @@ def _unit_rows_only(C):
     return True
 
 
-def _ones_cost(total, slack_from):
-    return LinearObjective((0,) * slack_from + (1,) * (total - slack_from))
+def _test_set(inst, graver_cap=6, direct_threshold=DIRECT_THRESHOLD):
+    """Move source of the walks over inst.box(): the test set of the
+    full matrix (with the objective's shared coefficient rows folded in
+    unless they are all +-unit rows, which contribute nothing).  Up to
+    direct_threshold flat variables it is computed directly; beyond
+    that it is lifted from the stabilized seed generators."""
+    n, N = inst.n, inst.N
+    C = inst.shared_rows()
+    A = inst.matrix()
+    plain = C.rows == 0 or _unit_rows_only(C)
+    if N * n <= direct_threshold:
+        if plain:
+            return _graver_cached(A)
+        C_flat = Mat.vstack(*[_embed_block(C, i, N) for i in range(N)])
+        return _graver_composite_cached(A, C_flat)
+    if plain:
+        return lift_graver(analyze_pair(inst.A, inst.B, cap=graver_cap), N)
+    s = C.rows
+    Abar = Mat.vstack(
+        Mat.hstack(inst.A, Mat.zeros(inst.A.rows, s)),
+        Mat.hstack(C, Mat.identity(s)),
+    )
+    Bbar = Mat.hstack(inst.B, Mat.zeros(inst.B.rows, s))
+    lifted = lift_graver(analyze_pair(Abar, Bbar, cap=graver_cap), N)
+    width = n + s
+    seen = set()
+    proj = []
+    for e in lifted.elements:
+        p = sum((e[i * width : i * width + n] for i in range(N)), ())
+        if not is_zero(p) and p not in seen:
+            seen.add(p)
+            proj.append(p)
+    # one table, so phase one and the solve share its bitsets
+    return DirectionTable(sorted(proj))
 
 
-def _neg_identity(k):
-    return Mat(tuple(tuple(-1 if i == j else 0 for j in range(k)) for i in range(k)), cols=k)
-
-
-def _min_slack(E, rhs, x_upper, slack_upper, x_start, slack_start):
-    """Drive the slack sum to zero over E (x-columns then slack columns).
-
-    Returns the x-part on success, None when the certified optimum of
-    the slack sum is positive.
-    """
-    nx = len(x_upper)
-    lower = (0,) * E.cols
-    upper = tuple(x_upper) + tuple(slack_upper)
-    box = FeasibleBox(E, tuple(rhs), lower, upper)
-    z0 = tuple(x_start) + tuple(slack_start)
-    cost = _ones_cost(E.cols, nx)
-    basis = _graver_cached(E)
-    z, _ = solve_ip_greedy(z0, basis, cost, box, h_warn_factor=None)
-    if evaluate(cost, z) > 0:
-        return None
-    return z[:nx]
-
-
-def _split_residual(r):
-    plus = tuple(max(x, 0) for x in r)
-    minus = tuple(max(-x, 0) for x in r)
-    return plus, minus
-
-
-def phase_one(inst):
+def phase_one(inst, basis=None):
     """Feasible block point of the instance, or a certified Infeasible.
 
-    Tier one treats each block alone: A x = b^(i) with slack columns
-    +-identity on the A-rows, starting from the all-slack point.  Tier
-    two keeps the found blocks and repairs the coupling rows the same
-    way, with slack columns attached to the coupling rows only.  Both
-    tiers certify a positive slack optimum as infeasibility because the
-    greedy walk uses the complete test set of the extended matrix.
+    augment.feasible_start from an integer solution of the block
+    equations, walking the bound violation along basis: the move source
+    solve_nfold uses, or by default the test set it would choose.
     """
-    A, B, N, n = inst.A, inst.B, inst.N, inst.n
-    da, db = A.rows, B.rows
-    xs = []
-    if da:
-        E1 = Mat.hstack(A, Mat.identity(da), _neg_identity(da))
-        slack_cap = []
-        for r in range(da):
-            cap = max(abs(bb[r]) for bb in inst.b) if inst.b else 0
-            cap += sum(abs(A.data[r][j]) * max(u[j] for u in inst.upper) for j in range(n))
-            slack_cap.append(cap)
-        for i in range(N):
-            plus, minus = _split_residual(inst.b[i])
-            x = _min_slack(E1, inst.b[i], inst.upper[i], slack_cap * 2, (0,) * n, plus + minus)
-            if x is None:
-                raise Infeasible("block %d: A x = b^(%d) has no point in the bounds" % (i, i))
-            xs.append(x)
-    else:
-        xs = [(0,) * n for _ in range(N)]
-    if db == 0:
-        return BlockVector(tuple(xs))
-
-    flat_x = sum((tuple(x) for x in xs), ())
-    coupled = tuple(sum(B.data[r][j] * xs[i][j] for i in range(N) for j in range(n)) for r in range(db))
-    residual = tuple(inst.b0[r] - coupled[r] for r in range(db))
-    if all(v == 0 for v in residual):
-        return BlockVector(tuple(xs))
-
-    base = inst.matrix()
-    slack_rows = Mat.vstack(
-        Mat.hstack(Mat.identity(db), _neg_identity(db)),
-        Mat.zeros(N * da, 2 * db),
-    )
-    E2 = Mat.hstack(base, slack_rows)
-    cap = []
-    for r in range(db):
-        c = abs(inst.b0[r])
-        c += sum(abs(B.data[r][j]) * max(u[j] for u in inst.upper) for j in range(n)) * N
-        cap.append(c)
-    plus, minus = _split_residual(residual)
-    rhs = inst.b0 + sum(inst.b, ())
-    x_part = _min_slack(
-        E2,
-        rhs,
-        sum(inst.upper, ()),
-        tuple(cap) * 2,
-        flat_x,
-        plus + minus,
-    )
-    if x_part is None:
-        raise Infeasible("coupling rows cannot be met within the bounds")
-    return BlockVector.from_flat(x_part, N, n)
+    if basis is None:
+        basis = _test_set(inst)
+    return BlockVector.from_flat(feasible_start(inst.box(), basis), inst.N, inst.n)
 
 
 def solve_nfold(inst, graver_cap=6, direct_threshold=DIRECT_THRESHOLD, z0=None):
     """Global optimum of the instance with an augmentation trace.
 
-    Directions come from the test set of the full matrix (with the
-    objective's shared coefficient rows folded in unless they are all
-    +-unit rows, which contribute nothing).  Up to direct_threshold flat
-    variables the set is computed directly; beyond that it is lifted
-    from the stabilized seed generators.  Then phase one and the greedy
-    walk; a caller that already holds a feasible point can pass it as z0
-    (a BlockVector or flat tuple) to skip phase one.
+    Phase one and the greedy walk both move along the test set of
+    _test_set (direct up to direct_threshold flat variables, lifted
+    beyond); a caller that already holds a feasible point can pass it
+    as z0 (a BlockVector or flat tuple) to skip phase one.
     """
-    n, N = inst.n, inst.N
-    C = inst.shared_rows()
-    flat = inst.flatten_objective()
     box = inst.box()
-    plain = C.rows == 0 or _unit_rows_only(C)
-    if N * n <= direct_threshold:
-        if plain:
-            basis = _graver_cached(box.A)
-        else:
-            C_flat = Mat.vstack(*[_embed_block(C, i, N) for i in range(N)])
-            basis = _graver_composite_cached(box.A, C_flat)
-    elif plain:
-        seed = analyze_pair(inst.A, inst.B, cap=graver_cap)
-        basis = lift_graver(seed, N)
-    else:
-        s = C.rows
-        Abar = Mat.vstack(
-            Mat.hstack(inst.A, Mat.zeros(inst.A.rows, s)),
-            Mat.hstack(C, Mat.identity(s)),
-        )
-        Bbar = Mat.hstack(inst.B, Mat.zeros(inst.B.rows, s))
-        seed = analyze_pair(Abar, Bbar, cap=graver_cap)
-        lifted = lift_graver(seed, N)
-        width = n + s
-        seen = set()
-        proj = []
-        for e in lifted.elements:
-            p = sum((e[i * width : i * width + n] for i in range(N)), ())
-            if not is_zero(p) and p not in seen:
-                seen.add(p)
-                proj.append(p)
-        basis = tuple(sorted(proj))
+    basis = _test_set(inst, graver_cap, direct_threshold)
     if z0 is None:
-        start = phase_one(inst).flatten()
+        start = phase_one(inst, basis).flatten()
     else:
         start = z0.flatten() if isinstance(z0, BlockVector) else tuple(z0)
         box.check_point(start)
-    zopt, trace = solve_ip_greedy(start, basis, flat, box)
-    return BlockVector.from_flat(zopt, N, n), trace
+    zopt, trace = solve_ip_greedy(start, basis, inst.flatten_objective(), box)
+    return BlockVector.from_flat(zopt, inst.N, inst.n), trace

@@ -19,16 +19,17 @@ the box span, which is the one deliberate concession to simplicity over
 asymptotic step-count guarantees.
 
 The assembled moves feed the shared integer loop: BlockMoves is the
-move source that augment.solve_ip_greedy walks over the flat box and
-objective of the instance (TwoStageInstance.box and flatten_objective),
-both for the main solve and for phase one.
+move source that augment.solve_ip_greedy walks.  It prices moves by
+the flat objective and box it is handed, split into a first-stage part
+and one part per scenario, so the pool of the instance's own pair
+serves both phase one (augment.feasible_start) and the main walk.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .augment import FeasibleBox, GreedyStep, solve_ip_greedy
+from .augment import FeasibleBox, GreedyStep, feasible_start, solve_ip_greedy
 from .errors import DimMismatch, DomainError, Infeasible, NotStabilized
 from .graver import graver
 from .linalg import Mat, is_zero
@@ -128,8 +129,8 @@ def extract_building_blocks(T, W, C=None, D=None, cap=4):
     return blocks
 
 
-# A solve takes two entries, its pair and its phase-one pair (W, I, -I),
-# so 256 keep the blocks of 128 distinct pairs warm.
+# A solve takes one entry, its own pair, so 256 keep the blocks of 256
+# distinct pairs warm.
 @lru_cache(maxsize=256)
 def _harvest_blocks(T, W, C, D, cap):
     """(blocks, stabilized) for the validated arguments of
@@ -182,41 +183,75 @@ def _scenario_candidates(inst, blocks, v, alpha):
     return pool
 
 
-def _boxed(point, delta, alpha, upper):
+def _boxed(point, delta, alpha, lower, upper):
     out = []
-    for p, d, u in zip(point, delta, upper):
+    for p, d, l, u in zip(point, delta, lower, upper):
         q = p + alpha * d
-        if q < 0 or q > u:
+        if q < l or q > u:
             return None
         out.append(q)
     return tuple(out)
 
 
-def _assemble(z, blocks, inst, alpha):
+class _Pricing:
+    """A flat objective and box over a two-stage instance, split by stage.
+
+    first holds the first-stage linear costs and the rows on x alone;
+    parts[i] holds scenario i's linear costs and rows, over (x, y^(i)).
+    first plus the parts is the flat objective.  lower and upper are
+    the box bounds as TwoStagePoints.
+    """
+
+    def __init__(self, inst, obj, box):
+        def split(v):
+            return TwoStagePoint.from_flat(v, inst.m, inst.N, inst.n)
+
+        first = []
+        parts = [[] for _ in range(inst.N)]
+        for r, f in obj.rows:
+            r = split(r)
+            hit = [i for i, y in enumerate(r.ys) if any(y)]
+            if len(hit) > 1:
+                raise DomainError("an objective row couples two scenarios")
+            if hit:
+                parts[hit[0]].append((r.x + r.ys[hit[0]], f))
+            else:
+                first.append((r.x, f))
+        c = split(obj.c)
+        self.inst, self.obj, self.box = inst, obj, box
+        self.first = CompositeObjective(c.x, first)
+        self.parts = tuple(CompositeObjective((0,) * inst.m + y, p) for y, p in zip(c.ys, parts))
+        self.lower, self.upper = split(box.lower), split(box.upper)
+        self.span = max([0] + [u - l for l, u in zip(box.lower, box.upper)])
+
+
+def _assemble(z, blocks, p, alpha):
     """Best assembled move of length alpha, as (total, v, ws), or None.
 
     For each feasible first-stage block the scenarios decouple: each
-    picks its own best partner block independently, and the sums of the
-    per-scenario minima are compared across first-stage blocks.
+    picks its own best partner block independently by the pricing p,
+    and the first-stage part plus the per-scenario minima are compared
+    across first-stage blocks.
     """
+    inst = p.inst
     best = None
     zero_v = (0,) * inst.m
     vs = blocks.first_stage if zero_v in blocks.first_stage else ((zero_v,) + blocks.first_stage)
     for v in sorted(vs):
-        x2 = _boxed(z.x, v, alpha, inst.ux)
+        x2 = _boxed(z.x, v, alpha, p.lower.x, p.upper.x)
         if x2 is None:
             continue
         pool = _scenario_candidates(inst, blocks, v, alpha)
-        total = 0
+        total = evaluate(p.first, x2)
         ws = []
         dead = False
         for i in range(inst.N):
             best_i = None
             for w in pool:
-                y2 = _boxed(z.ys[i], w, alpha, inst.uy[i])
+                y2 = _boxed(z.ys[i], w, alpha, p.lower.ys[i], p.upper.ys[i])
                 if y2 is None:
                     continue
-                val = evaluate(inst.objective[i], x2 + y2)
+                val = evaluate(p.parts[i], x2 + y2)
                 if best_i is None or (val, w) < best_i:
                     best_i = (val, w)
             if best_i is None:
@@ -238,7 +273,7 @@ def improving_vector(z, blocks, inst):
     feasible at step length one."""
     _check_point(z, inst)
     cur = inst.value(z)
-    got = _assemble(z, blocks, inst, 1)
+    got = _assemble(z, blocks, _Pricing(inst, inst.flatten_objective(), inst.box()), 1)
     if got is None:
         return None
     total, v, ws = got
@@ -252,16 +287,22 @@ def improving_vector(z, blocks, inst):
 def greedy_step_twostage(z, blocks, inst):
     """Best assembled move over all step lengths within the box span.
 
-    Step lengths are enumerated 1..max bound; candidates are compared by
-    (new value, length, move) so the result is deterministic.  Returns
-    the zero step when nothing strictly improves.
+    inst is a TwoStageInstance, whose own objective and box price the
+    moves, or the pricing BlockMoves.step makes of the objective and
+    box it is handed.  Step lengths are enumerated 1..max(u - l);
+    candidates are compared by (new value, length, move) so the result
+    is deterministic.  Returns the zero step when nothing strictly
+    improves.
     """
+    if isinstance(inst, _Pricing):
+        p, inst = inst, inst.inst
+    else:
+        p = _Pricing(inst, inst.flatten_objective(), inst.box())
     _check_point(z, inst)
-    cur = inst.value(z)
-    span = max([0] + list(inst.ux) + [u for uy in inst.uy for u in uy])
+    cur = evaluate(p.obj, z.flatten())
     best = None
-    for alpha in range(1, span + 1):
-        got = _assemble(z, blocks, inst, alpha)
+    for alpha in range(1, p.span + 1):
+        got = _assemble(z, blocks, p, alpha)
         if got is None:
             continue
         total, v, ws = got
@@ -281,22 +322,28 @@ def greedy_step_twostage(z, blocks, inst):
 class BlockMoves:
     """Move source of augment.solve_ip_greedy for a two-stage instance.
 
-    step() takes the flat point over inst.box() and returns
-    greedy_step_twostage's best assembled move from it; len() is the
-    number of (v, w) block pairs in the pool.
+    step(z, obj, box) takes a flat point of the instance's shape and
+    returns greedy_step_twostage's best assembled move from it, priced
+    by obj over box; len() is the number of (v, w) block pairs in the
+    pool.  The split of obj is kept while the loop passes the same obj
+    and box.
     """
 
     def __init__(self, blocks, inst):
         self.blocks = blocks
         self.inst = inst
+        self._pricing = None
 
     def __len__(self):
         return sum(len(self.blocks.pool(v)) for v in self.blocks.first_stage)
 
     def step(self, z, obj, box):
         inst = self.inst
+        p = self._pricing
+        if p is None or p.obj is not obj or p.box is not box:
+            p = self._pricing = _Pricing(inst, obj, box)
         point = TwoStagePoint.from_flat(z, inst.m, inst.N, inst.n)
-        return greedy_step_twostage(point, self.blocks, inst)
+        return greedy_step_twostage(point, self.blocks, p)
 
 
 @dataclass(frozen=True)
@@ -413,57 +460,19 @@ class TwoStageInstance:
         return z
 
 
-def _phase_one_twostage(inst, cap):
-    """Feasible point via slack columns on the scenario stages.
-
-    The scenario matrix becomes (W, I, -I) with all-ones linear cost on
-    the slack coordinates; the all-slack point is trivially feasible and
-    the greedy walk over assembled block moves drives the slack sum to
-    zero or certifies that it cannot reach zero."""
-    d, m, n, N = inst.T.rows, inst.m, inst.n, inst.N
-    if d == 0:
-        return TwoStagePoint((0,) * m, tuple((0,) * n for _ in range(N)))
-    W_ext = Mat.hstack(inst.W, Mat.identity(d), Mat(tuple(tuple(-1 if i == j else 0 for j in range(d)) for i in range(d)), cols=d))
-    caps = []
-    for r in range(d):
-        c = max(abs(b[r]) for b in inst.b)
-        c += sum(abs(inst.T.data[r][j]) * inst.ux[j] for j in range(m))
-        c += sum(abs(inst.W.data[r][j]) * max(u[j] for u in inst.uy) for j in range(n))
-        caps.append(c)
-    slack_cost = (0,) * m + (0,) * n + (1,) * (2 * d)
-    slack_obj = tuple(CompositeObjective(slack_cost, ()) for _ in range(N))
-    uy_ext = tuple(tuple(u) + tuple(caps) * 2 for u in inst.uy)
-    start = (0,) * m
-    for bvec in inst.b:
-        plus = tuple(max(v, 0) for v in bvec)
-        minus = tuple(max(-v, 0) for v in bvec)
-        start += (0,) * n + plus + minus
-    slack_inst = TwoStageInstance(inst.T, W_ext, N, inst.b, inst.ux, uy_ext, slack_obj)
-    moves = BlockMoves(extract_building_blocks(inst.T, W_ext, cap=cap), slack_inst)
-    flat, _ = solve_ip_greedy(
-        start, moves, slack_inst.flatten_objective(), slack_inst.box(), h_warn_factor=None
-    )
-    z = TwoStagePoint.from_flat(flat, m, N, n + 2 * d)
-    if slack_inst.value(z) > 0:
-        raise Infeasible("slack optimum is positive: no feasible point in the bounds")
-    return TwoStagePoint(z.x, tuple(y[:n] for y in z.ys))
-
-
 def solve_twostage(inst, cap=4):
     """Global optimum of the instance with an augmentation trace.
 
-    Phase one repairs feasibility through scenario slack columns; the
-    shared integer loop then walks the assembled moves of the stabilized
-    block pools until none improves, which certifies optimality.
+    One BlockMoves over the stabilized block pool of the instance's pair
+    drives both walks of the shared integer loop over inst.box():
+    augment.feasible_start walks the bound violation down to a feasible
+    point or certifies Infeasible, and the main walk then follows the
+    objective until no assembled move improves, which certifies
+    optimality.
     """
-    C, D = inst.rows_CD()
-    blocks = extract_building_blocks(inst.T, inst.W, C, D, cap=cap)
-    start = _phase_one_twostage(inst, cap)
-    z, trace = solve_ip_greedy(
-        start.flatten(),
-        BlockMoves(blocks, inst),
-        inst.flatten_objective(),
-        inst.box(),
-        h_warn_factor=None,
-    )
+    box = inst.box()
+    blocks = extract_building_blocks(inst.T, inst.W, *inst.rows_CD(), cap=cap)
+    moves = BlockMoves(blocks, inst)
+    start = feasible_start(box, moves)
+    z, trace = solve_ip_greedy(start, moves, inst.flatten_objective(), box, h_warn_factor=None)
     return TwoStagePoint.from_flat(z, inst.m, inst.N, inst.n), trace

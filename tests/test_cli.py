@@ -387,6 +387,10 @@ DECODE_PAYLOAD = {"dims": [1, 1, 1], "u": 1, "U": 2, "received": [[[0, 1], [1, 1
 
 # One small document per kind, with its result document as recorded
 # before the solvers shared one lowering and one augmentation loop.
+# table3 and twostage were recorded again when block solves started
+# from an integer solution of A z = b walked into the bounds: their
+# start point moved, so trace and stats did; status, value and point
+# agree with bruteforce.solve_oracle.
 GOLDEN_DOCS = {
     "ip": knap_doc(z0=(3, 0)),
     "lp": LP_DOC,
@@ -413,6 +417,12 @@ GOLDEN_DOCS = {
     "decode-pinf": _doc("decode", dict(DECODE_PAYLOAD, p="inf"), None),
     "infeasible": _doc("twostage", dict(TWOSTAGE_PAYLOAD, b=[[2], [9]]), TWOSTAGE_OBJ),
     "infeasible-box": _doc("twostage", dict(TWOSTAGE_PAYLOAD, ux=[-1]), TWOSTAGE_OBJ),
+    "nfold-infeasible-box": _doc(
+        "nfold",
+        {"A": [[1, 1]], "B": [[1, 0], [0, 1]], "N": 2, "b": [[2], [2]], "b0": [2, 2],
+         "upper": [[2, -1], [2, 2]]},
+        {"kind": "blocks", "blocks": [_comp([0, 0], [0, 0])] * 2},
+    ),
     "unbounded": _doc(
         "lp",
         {"A": [[1, -1]], "b": [0], "lower": [0, 0], "upper": [None, None], "z0": [0, 0]},
@@ -425,13 +435,14 @@ GOLDEN_OUT = {
     "lp": (0, '{"format_version":1,"kind":"result","point":[0,0,1,2,2,0],"stats":{"augment_steps":2,"basis_size":10,"directions_evaluated":30},"status":"optimal","trace":[{"direction":[0,-1,0,1,2,0],"steplen":1,"value_after":0,"value_before":1},{"direction":[0,0,1,0,0,-1],"steplen":1,"value_after":-1,"value_before":0}],"value":"-1"}\n'),
     "nfold": (0, '{"format_version":1,"kind":"result","point":[2,0,0,2],"stats":{"augment_steps":1,"basis_size":2,"directions_evaluated":4},"status":"optimal","trace":[{"direction":[1,-1,-1,1],"steplen":2,"value_after":4,"value_before":16}],"value":"4"}\n'),
     "transportation": (0, '{"format_version":1,"kind":"result","point":[1,0,1,1],"stats":{"augment_steps":1,"basis_size":2,"directions_evaluated":4},"status":"optimal","trace":[{"direction":[1,-1,-1,1],"steplen":1,"value_after":5,"value_before":9}],"value":"5"}\n'),
-    "table3": (0, '{"format_version":1,"kind":"result","point":[1,0,0,1,0,1,1,0],"stats":{"augment_steps":1,"basis_size":2,"directions_evaluated":4},"status":"optimal","trace":[{"direction":[1,-1,-1,1,-1,1,1,-1],"steplen":1,"value_after":0,"value_before":20}],"value":"0"}\n'),
-    "twostage": (0, '{"format_version":1,"kind":"result","point":[1,1,2],"stats":{"augment_steps":1,"basis_size":2,"directions_evaluated":4},"status":"optimal","trace":[{"direction":[1,-1,-1],"steplen":1,"value_after":7,"value_before":13}],"value":"7"}\n'),
+    "table3": (0, '{"format_version":1,"kind":"result","point":[1,0,0,1,0,1,1,0],"stats":{"augment_steps":0,"basis_size":2,"directions_evaluated":2},"status":"optimal","trace":[],"value":"0"}\n'),
+    "twostage": (0, '{"format_version":1,"kind":"result","point":[1,1,2],"stats":{"augment_steps":1,"basis_size":2,"directions_evaluated":4},"status":"optimal","trace":[{"direction":[-1,1,1],"steplen":1,"value_after":7,"value_before":9}],"value":"7"}\n'),
     "decode-p1": (0, '{"format_version":1,"kind":"result","point":[1,1,1,1,1,1,1,1],"stats":{"augment_steps":1,"basis_size":2,"directions_evaluated":4},"status":"optimal","trace":[{"direction":[1,-1,-1,1,-1,1,1,-1],"steplen":1,"value_after":2,"value_before":6}],"value":"2"}\n'),
     # p = inf reports the l_inf distance, not the surrogate objective
     "decode-pinf": (0, '{"format_version":1,"kind":"result","point":[1,1,1,1,1,1,1,1],"stats":{"augment_steps":1,"basis_size":2,"directions_evaluated":4},"status":"optimal","trace":[{"direction":[1,-1,-1,1,-1,1,1,-1],"steplen":1,"value_after":2,"value_before":6}],"value":"1"}\n'),
     "infeasible": (2, '{"format_version":1,"kind":"result","stats":{"augment_steps":0,"basis_size":0,"directions_evaluated":0},"status":"infeasible"}\n'),
     "infeasible-box": (2, '{"format_version":1,"kind":"result","stats":{"augment_steps":0,"basis_size":0,"directions_evaluated":0},"status":"infeasible"}\n'),
+    "nfold-infeasible-box": (2, '{"format_version":1,"kind":"result","stats":{"augment_steps":0,"basis_size":0,"directions_evaluated":0},"status":"infeasible"}\n'),
     "unbounded": (3, '{"format_version":1,"kind":"result","stats":{"augment_steps":0,"basis_size":0,"directions_evaluated":0},"status":"unbounded"}\n'),
 }
 

@@ -2,11 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graveropt.augment import FeasibleBox
+from graveropt.bruteforce import first_feasible
 from graveropt.errors import DimMismatch, ZeroVector
 from graveropt.linalg import (
     Mat,
     dot,
+    integer_solution,
     is_primitive,
     kernel_basis,
     primitive_part,
@@ -166,3 +171,41 @@ def test_sign_compatible_symmetric_reflexive():
         assert sign_compatible(a, b) == sign_compatible(b, a)
         nonneg = tuple(abs(x) for x in a)
         assert sign_compatible(nonneg, nonneg)
+
+
+@st.composite
+def _systems(draw):
+    rows = draw(st.integers(0, 3))
+    cols = draw(st.integers(0, 4))
+    A = Mat(
+        tuple(tuple(draw(st.integers(-3, 3)) for _ in range(cols)) for _ in range(rows)),
+        cols=cols,
+    )
+    if draw(st.booleans()):
+        b = A.mul_vec(tuple(draw(st.integers(-2, 2)) for _ in range(cols)))
+    else:
+        b = tuple(draw(st.integers(-6, 6)) for _ in range(rows))
+    return A, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_integer_solution_matches_bruteforce(case):
+    A, b = case
+    z = integer_solution(A, b)
+    if z is not None:
+        assert A.mul_vec(z) == b
+    box = FeasibleBox(A, b, (-3,) * A.cols, (3,) * A.cols)
+    if first_feasible(box) is not None:
+        assert z is not None
+
+
+def test_integer_solution_none_without_integer_point():
+    # 2 z = 1 has a rational solution but no integer one
+    assert integer_solution(Mat(((2,),)), (1,)) is None
+    assert integer_solution(Mat(((2,),)), (4,)) == (2,)
+    # no columns: only b = 0 is reachable
+    assert integer_solution(Mat(((),)), (1,)) is None
+    assert first_feasible(FeasibleBox(Mat(((),)), (1,), (), ())) is None
+    with pytest.raises(DimMismatch):
+        integer_solution(Mat(((2,),)), (1, 1))

@@ -4,10 +4,10 @@ import pytest
 
 import graveropt.nfold as nfold
 from graveropt.augment import FeasibleBox, solve_ip_greedy
-from graveropt.bruteforce import enumerate_feasible, solve_oracle
+from graveropt.bruteforce import enumerate_feasible, first_feasible, solve_oracle
 from graveropt.errors import DimMismatch, Infeasible, NotStabilized, NTooSmall
 from graveropt.graver import graver
-from graveropt.linalg import Mat, kernel_basis, rank
+from graveropt.linalg import Mat, dot, kernel_basis, rank
 from graveropt.nfold import (
     BlockVector,
     NFoldInstance,
@@ -338,3 +338,49 @@ def test_solve_nfold_builds_matrix_once(monkeypatch):
     box.check_point(z.flatten())
     assert inst.matrix() is box.A
     assert built == [2]
+
+
+def test_solve_nfold_infeasible_iff_no_point_randoms():
+    rng = random.Random(61)
+    outcomes = []
+    for trial in range(40):
+        n, N = rng.choice((1, 2)), 1 + trial % 3
+        A = Mat((tuple(rng.randint(-1, 2) for _ in range(n)),), cols=n)
+        B = Mat((tuple(rng.randint(-1, 1) for _ in range(n)),), cols=n)
+        upper = tuple(tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(N))
+        # every other instance has its right-hand sides taken at a point
+        # of the box, the rest at random
+        x = [tuple(rng.randint(0, u) for u in block) for block in upper]
+        b0 = sum(dot(B.data[0], block) for block in x) + trial % 2 * rng.randint(-2, 2)
+        b = tuple((dot(A.data[0], block) + trial % 2 * rng.randint(-2, 2),) for block in x)
+        inst = NFoldInstance(
+            A=A,
+            B=B,
+            N=N,
+            b0=(b0,),
+            b=b,
+            upper=upper,
+            objective=tuple(comp(tuple(rng.randint(-2, 2) for _ in range(n))) for _ in range(N)),
+        )
+        try:
+            solve_nfold(inst)
+            infeasible = False
+        except Infeasible:
+            infeasible = True
+        assert infeasible == (first_feasible(inst.box()) is None)
+        outcomes.append(infeasible)
+    assert 5 < sum(outcomes) < 35
+
+
+def test_box_with_negative_upper_is_infeasible():
+    inst = NFoldInstance(
+        A=A11,
+        B=B10,
+        N=1,
+        b0=(0,),
+        b=((0,),),
+        upper=((1, -1),),
+        objective=(comp((0, 0)),),
+    )
+    with pytest.raises(Infeasible):
+        inst.box()

@@ -3,17 +3,19 @@ import random
 
 import pytest
 
-from graveropt.augment import FeasibleBox, solve_ip_greedy
+from graveropt.augment import FeasibleBox, greedy_step, solve_ip_greedy
+from graveropt.bruteforce import first_feasible
 from graveropt.errors import (
     DimMismatch,
     DomainError,
     Infeasible,
     NotStabilized,
 )
-from graveropt.graver import graver_composite
-from graveropt.linalg import Mat, kernel_basis
+from graveropt.graver import graver, graver_composite
+from graveropt.linalg import Mat, integer_solution, kernel_basis
 from graveropt.objective import AbsPower, CompositeObjective, evaluate
 from graveropt.twostage import (
+    BlockMoves,
     BuildingBlocks,
     TwoStageInstance,
     TwoStagePoint,
@@ -415,3 +417,69 @@ def test_solve_matches_bruteforce_randoms():
         vals = trace.values()
         assert len(vals) == (len(trace) + 1 if len(trace) else 0)
         solved += 1
+
+
+def _violation(box):
+    """sum_j |z_j - l_j| + |z_j - u_j|, the phase-one objective."""
+    rows = []
+    for j, (l, u) in enumerate(zip(box.lower, box.upper)):
+        unit = tuple(int(k == j) for k in range(box.dim))
+        rows += [(unit, AbsPower(1, 1, l)), (unit, AbsPower(1, 1, u))]
+    return CompositeObjective((0,) * box.dim, tuple(rows))
+
+
+def _random_instance(rng, N):
+    m, n = rng.choice((1, 2)), rng.choice((1, 2))
+    T = Mat((tuple(rng.randint(-1, 1) for _ in range(m)),), cols=m)
+    W = Mat((tuple(rng.randint(-1, 1) for _ in range(n)),), cols=n)
+    ux = tuple(rng.randint(0, 2) for _ in range(m))
+    uy = tuple(tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(N))
+    b = tuple((rng.randint(-2, 3),) for _ in range(N))
+    objs = tuple(
+        CompositeObjective(tuple(rng.randint(-2, 2) for _ in range(m + n)), ()) for _ in range(N)
+    )
+    return TwoStageInstance(T, W, N, b, ux, uy, objs)
+
+
+def test_block_moves_price_given_objective_and_box():
+    # Phase one walks the bound violation over a box widened around an
+    # integer solution; the assembled moves must price that objective
+    # and box, and match the best move of the full test set.
+    rng = random.Random(54)
+    checked = improving = 0
+    for _ in range(60):
+        inst = _random_instance(rng, rng.choice((1, 2)))
+        box = inst.box()
+        z = integer_solution(box.A, box.b)
+        if z is None:
+            continue
+        for g in kernel_basis(box.A):
+            k = rng.randint(-2, 2)
+            z = tuple(a + k * d for a, d in zip(z, g))
+        relaxed = FeasibleBox(
+            box.A, box.b, tuple(map(min, box.lower, z)), tuple(map(max, box.upper, z))
+        )
+        obj = _violation(box)
+        blocks = extract_building_blocks(inst.T, inst.W, cap=4)
+        got = BlockMoves(blocks, inst).step(z, obj, relaxed)
+        want = greedy_step(z, graver(inst.matrix()), obj, relaxed)
+        assert got.is_zero == want.is_zero
+        assert got.new_value <= want.new_value
+        checked += 1
+        improving += not want.is_zero
+    assert checked > 30 and improving > 10
+
+
+def test_solve_infeasible_iff_no_point_randoms():
+    rng = random.Random(55)
+    outcomes = []
+    for trial in range(40):
+        inst = _random_instance(rng, 1 + trial % 3)
+        try:
+            solve_twostage(inst)
+            infeasible = False
+        except Infeasible:
+            infeasible = True
+        assert infeasible == (first_feasible(inst.box()) is None)
+        outcomes.append(infeasible)
+    assert 5 < sum(outcomes) < 35
