@@ -35,7 +35,7 @@ from .errors import (
     UnboundedObjective,
 )
 from .graver import circuits, graver, graver_composite
-from .linalg import Mat
+from .linalg import Mat, integer_solution
 from .models import _decode_instance, _decode_lowered
 from .nfold import DIRECT_THRESHOLD, solve_nfold, _unit_rows_only
 from .objective import CompositeObjective, LinearObjective, evaluate
@@ -148,7 +148,9 @@ def cmd_solve(args):
             z0 = obj[2]
             mode = args.mode or kind
             if z0 is None:
-                z0 = bruteforce.first_feasible(box)
+                # the lattice test sees parity, which the scan's pruning cannot
+                if integer_solution(box.A, box.b) is not None:
+                    z0 = bruteforce.first_feasible(box)
                 if z0 is None:
                     _emit(_result("infeasible", t0))
                     return EXIT_INFEASIBLE

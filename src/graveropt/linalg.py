@@ -37,7 +37,6 @@ __all__ = [
     "is_zero",
     "dot",
     "support",
-    "lcm",
 ]
 
 
@@ -56,10 +55,6 @@ def sign_compatible(a, b):
 
 def support(v):
     return frozenset(i for i, a in enumerate(v) if a)
-
-
-def lcm(a, b):
-    return abs(a * b) // gcd(a, b) if a and b else 0
 
 
 def is_primitive(v):
@@ -128,13 +123,6 @@ class Mat:
         if len(v) != self.cols:
             raise DimMismatch("matrix has %d columns, vector has %d" % (self.cols, len(v)))
         return tuple(sum(a * x for a, x in zip(row, v)) for row in self.data)
-
-    def transpose(self):
-        if self.rows == 0:
-            return Mat(tuple(() for _ in range(self.cols)), cols=0)
-        if self.cols == 0:
-            return Mat((), cols=self.rows)
-        return Mat(tuple(zip(*self.data)), cols=self.rows)
 
     def submatrix_cols(self, js):
         return Mat(tuple(tuple(row[j] for j in js) for row in self.data), cols=len(js))

@@ -1,15 +1,20 @@
-"""Application builders over the block solvers.
+"""Table models over the N-fold solver.
 
-Everything here translates a concrete model (capacitated transportation,
-line-sum tables, hierarchical margin systems, checksum decoding) into an
-NFoldInstance whose integer points biject with the model's feasible set,
-plus the distance objectives used on top of them.  Builders are pure and
-attach a zero objective unless given one; decode drives the solver.
+A table model is a margin system (MarginSpec): an array whose sums over
+a family of coordinate subsets are fixed, with per-cell upper bounds.
+build_hierarchical is the one builder that turns a margin system into
+an NFoldInstance whose integer points biject with the tables: the last
+axis indexes the blocks, margins over it become block rows and the
+others coupling rows.  build_transportation and build_3way_linesum only
+map their arguments to a MarginSpec, and checksum decoding lowers
+through the line-sum builder, adding the distance objectives defined
+here.  Builders are pure and attach a zero objective unless given one;
+decode drives the solver.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache
 from itertools import product
 from math import inf
 
@@ -23,7 +28,7 @@ from .errors import (
 )
 from .linalg import Mat
 from .nfold import DIRECT_THRESHOLD, NFoldInstance, solve_nfold
-from .objective import AbsPower, CompositeObjective, ZeroFn, evaluate
+from .objective import AbsPower, CompositeObjective, ZeroFn
 
 __all__ = [
     "MarginSpec",
@@ -84,18 +89,13 @@ def margin_tuples(dims, support):
     Entries are 1-based indices on the support coordinates and '+' on
     the summed ones; support coordinates are 1-based positions.
     """
-    d = len(dims)
-    sup = sorted(set(support))
-    for c in sup:
-        if not isinstance(c, int) or not 1 <= c <= d:
-            raise DomainError("support coordinate %r outside 1..%d" % (c, d))
-    out = []
-    for combo in product(*(range(1, dims[c - 1] + 1) for c in sup)):
-        t = ["+"] * d
-        for c, v in zip(sup, combo):
-            t[c - 1] = v
-        out.append(tuple(t))
-    return tuple(out)
+    sup = set(support)
+    for c in sorted(sup):
+        if not isinstance(c, int) or not 1 <= c <= len(dims):
+            raise DomainError("support coordinate %r outside 1..%d" % (c, len(dims)))
+    return tuple(
+        product(*(range(1, m + 1) if c in sup else ("+",) for c, m in enumerate(dims, 1)))
+    )
 
 
 def _tuple_support(t):
@@ -172,68 +172,55 @@ class MarginSpec:
 def _check_pairwise_consistency(spec):
     # two margins agreeing on the intersection of their supports sum the
     # same cells there, so the per-assignment totals must match
-    for a in range(len(spec.family)):
-        for b in range(a + 1, len(spec.family)):
-            H1, H2 = spec.family[a], spec.family[b]
-            common = tuple(sorted(set(H1) & set(H2)))
-            sums1 = {}
-            for t in margin_tuples(spec.dims, H1):
-                key = tuple(t[c - 1] for c in common)
-                sums1[key] = sums1.get(key, 0) + spec.values[t]
-            sums2 = {}
-            for t in margin_tuples(spec.dims, H2):
-                key = tuple(t[c - 1] for c in common)
-                sums2[key] = sums2.get(key, 0) + spec.values[t]
-            if sums1 != sums2:
+    def totals(H, common):
+        sums = {}
+        for t in margin_tuples(spec.dims, H):
+            key = tuple(t[c - 1] for c in common)
+            sums[key] = sums.get(key, 0) + spec.values[t]
+        return sums
+
+    for a, H1 in enumerate(spec.family):
+        for H2 in spec.family[a + 1 :]:
+            common = sorted(set(H1) & set(H2))
+            if totals(H1, common) != totals(H2, common):
                 raise InconsistentMargins(
                     "margins of supports %r and %r disagree on shared totals" % (H1, H2)
                 )
 
 
 def build_transportation(supplies, demands, caps, objective=None):
-    """N-fold instance of capacitated transportation: one block per
-    customer, coordinates = flows from each supplier.
+    """Capacitated transportation as the margin system of a suppliers x
+    customers array with family {1}, {2}, through build_hierarchical.
 
-    The block matrix is the all-ones row (each customer's demand), the
-    coupling block the identity (per-supplier totals = supplies).
+    Customers are the block axis: one block per customer holds its flows
+    from each supplier, its demand pins the block sum, and the supplies
+    pin the per-supplier sums across blocks.  caps is a scalar or a
+    customers x suppliers grid.
     """
-    supplies = tuple(supplies)
-    demands = tuple(demands)
+    supplies, demands = tuple(supplies), tuple(demands)
     n, N = len(supplies), len(demands)
     if n < 1 or N < 1:
         raise DomainError("need at least one supplier and one customer")
-    for v in supplies + demands:
-        if not isinstance(v, int) or v < 0:
-            raise DomainError("supplies and demands must be nonnegative integers")
+    caps = _grid_or_scalar(caps, (N, n), "caps")
+    values = {(i + 1, "+"): v for i, v in enumerate(supplies)}
+    values.update((("+", k + 1), v) for k, v in enumerate(demands))
+    bounds = caps if isinstance(caps, int) else tuple(zip(*caps))
+    spec = MarginSpec((n, N), ((1,), (2,)), values, bounds)
     if sum(supplies) != sum(demands):
         raise BalanceMismatch(
             "total supply %d != total demand %d" % (sum(supplies), sum(demands))
         )
-    caps = _grid_or_scalar(caps, (N, n), "caps")
-    if isinstance(caps, int):
-        upper = tuple(((caps,) * n) for _ in range(N))
-    else:
-        upper = caps
-    A = Mat(((1,) * n,))
-    B = Mat.identity(n)
-    return NFoldInstance(
-        A=A,
-        B=B,
-        N=N,
-        b0=supplies,
-        b=tuple((dk,) for dk in demands),
-        upper=upper,
-        objective=_zero_objective(n, N) if objective is None else tuple(objective),
-    )
+    return build_hierarchical(spec, objective)
 
 
 def build_3way_linesum(L, M, N, r, s, t, caps, objective=None):
-    """N-fold instance of L x M x N arrays with all line sums pinned.
+    """L x M x N arrays with all line sums pinned: the margin system with
+    family {1,3}, {2,3}, {1,2}, through build_hierarchical.
 
-    Layers along the third axis are the blocks (cells row-major, i*M+j);
-    within a layer the bipartite incidence rows pin s_{i,k} = sum over j
-    and r_{j,k} = sum over i, and the identity coupling pins the across-
-    layer sums t_{i,j}.
+    r[j][k], s[i][k] and t[i][j] are the sums over i, j and k; caps is a
+    scalar or an L x M x N grid.  The third axis is the block axis, so a
+    block is one layer (cells row-major, i*M+j) pinned by its s and r
+    sums, and the t sums couple the layers.
     """
     for name, v in (("L", L), ("M", M), ("N", N)):
         if not isinstance(v, int) or v < 1:
@@ -241,48 +228,12 @@ def build_3way_linesum(L, M, N, r, s, t, caps, objective=None):
     r = _int_grid(r, (M, N), "r")
     s = _int_grid(s, (L, N), "s")
     t = _int_grid(t, (L, M), "t")
-    for grid, name in ((r, "r"), (s, "s"), (t, "t")):
-        for row in grid:
-            for v in row:
-                if v < 0:
-                    raise DomainError("%s entries must be nonnegative" % (name,))
-    for k in range(N):
-        if sum(s[i][k] for i in range(L)) != sum(r[j][k] for j in range(M)):
-            raise InconsistentMargins("layer %d: row and column sums disagree" % (k,))
-    for i in range(L):
-        if sum(s[i][k] for k in range(N)) != sum(t[i][j] for j in range(M)):
-            raise InconsistentMargins("slice i=%d: s and t totals disagree" % (i,))
-    for j in range(M):
-        if sum(r[j][k] for k in range(N)) != sum(t[i][j] for i in range(L)):
-            raise InconsistentMargins("slice j=%d: r and t totals disagree" % (j,))
-    n = L * M
-    rows = []
-    for i in range(L):
-        rows.append(tuple(1 if c // M == i else 0 for c in range(n)))
-    for j in range(M):
-        rows.append(tuple(1 if c % M == j else 0 for c in range(n)))
-    A = Mat(tuple(rows))
-    B = Mat.identity(n)
-    b = tuple(
-        tuple(s[i][k] for i in range(L)) + tuple(r[j][k] for j in range(M)) for k in range(N)
-    )
-    b0 = tuple(t[i][j] for i in range(L) for j in range(M))
+    values = {("+", j + 1, k + 1): v for j, row in enumerate(r) for k, v in enumerate(row)}
+    values.update(((i + 1, "+", k + 1), v) for i, row in enumerate(s) for k, v in enumerate(row))
+    values.update(((i + 1, j + 1, "+"), v) for i, row in enumerate(t) for j, v in enumerate(row))
     caps = _grid_or_scalar(caps, (L, M, N), "caps")
-    if isinstance(caps, int):
-        upper = tuple(((caps,) * n) for _ in range(N))
-    else:
-        upper = tuple(
-            tuple(caps[c // M][c % M][k] for c in range(n)) for k in range(N)
-        )
-    return NFoldInstance(
-        A=A,
-        B=B,
-        N=N,
-        b0=b0,
-        b=b,
-        upper=upper,
-        objective=_zero_objective(n, N) if objective is None else tuple(objective),
-    )
+    spec = MarginSpec((L, M, N), ((1, 3), (2, 3), (1, 2)), values, caps)
+    return build_hierarchical(spec, objective)
 
 
 def build_hierarchical(spec, objective=None):
@@ -302,50 +253,24 @@ def build_hierarchical(spec, objective=None):
     if d < 2:
         raise DomainError("need at least two axes (the last one is the block axis)")
     N = dims[-1]
-    inner = dims[:-1]
-    cells = tuple(product(*(range(1, m + 1) for m in inner)))
-    n = len(cells)
+    cells = tuple(product(*map(range, dims[:-1])))  # 0-based, row-major
 
     def cell_row(t):
-        # 1 on cells matching the concrete coordinates among the first d-1
+        # 1 on the cells that match the 1-based concrete coordinates of t
         return tuple(
-            1 if all(t[c] == "+" or t[c] == cell[c] for c in range(d - 1)) else 0
-            for cell in cells
+            1 if all(a == "+" or a == i + 1 for a, i in zip(t, cell)) else 0 for cell in cells
         )
 
-    a_rows = []
-    a_keys = []  # (support, concrete-part) identifying each block row
-    b_rows = []
-    b0 = []
-    for sup in spec.family:
-        if d in sup:
-            for t in margin_tuples(dims, tuple(c for c in sup if c != d)):
-                a_rows.append(cell_row(t))
-                a_keys.append(t)
-        else:
-            for t in margin_tuples(dims, sup):
-                b_rows.append(cell_row(t))
-                b0.append(spec.values[t])
-    A = Mat(tuple(a_rows), cols=n)
-    B = Mat(tuple(b_rows), cols=n)
-    b = tuple(
-        tuple(
-            spec.values[t[: d - 1] + (k,)] for t in a_keys
-        )
-        for k in range(1, N + 1)
-    )
-    upper = tuple(
-        tuple(spec.bound_at(tuple(v - 1 for v in cell) + (k,)) for cell in cells)
-        for k in range(N)
-    )
+    a_keys = [t for H in spec.family if d in H for t in margin_tuples(dims, set(H) - {d})]
+    b_keys = [t for H in spec.family if d not in H for t in margin_tuples(dims, H)]
     return NFoldInstance(
-        A=A,
-        B=B,
+        A=Mat(tuple(map(cell_row, a_keys)), cols=len(cells)),
+        B=Mat(tuple(map(cell_row, b_keys)), cols=len(cells)),
         N=N,
-        b0=tuple(b0),
-        b=b,
-        upper=upper,
-        objective=_zero_objective(n, N) if objective is None else tuple(objective),
+        b0=tuple(spec.values[t] for t in b_keys),
+        b=tuple(tuple(spec.values[t[:-1] + (k,)] for t in a_keys) for k in range(1, N + 1)),
+        upper=tuple(tuple(spec.bound_at(cell + (k,)) for cell in cells) for k in range(N)),
+        objective=_zero_objective(len(cells), N) if objective is None else tuple(objective),
     )
 
 
@@ -544,17 +469,22 @@ def encode(message, u, U):
     return tuple(tuple(tuple(row) for row in plane) for plane in aug)
 
 
-def _decode_instance(spec):
-    n = spec.side
-    m = n + 1
-    allU = tuple((spec.U,) * m for _ in range(m))
+@lru_cache(maxsize=8)
+def _decode_margins(side, u, U):
+    """Zero-objective line-sum instance shared by the decodes with these
+    parameters: every line of the transmitted array sums to U, message
+    cells are capped at u and checksum slack cells at U."""
+    m = side + 1
+    allU = ((U,) * m,) * m
     caps = tuple(
-        tuple(
-            tuple(spec.u if (i < n and j < n and k < n) else spec.U for k in range(m))
-            for j in range(m)
-        )
+        tuple(tuple(u if max(i, j, k) < side else U for k in range(m)) for j in range(m))
         for i in range(m)
     )
+    return build_3way_linesum(m, m, m, allU, allU, allU, caps)
+
+
+def _decode_instance(spec):
+    m = spec.side + 1
     coords = set(spec.coordinates())
     exponent = spec.p if spec.p != inf else linf_q(m**3, max(spec.u, spec.U))
     objective = []
@@ -565,7 +495,7 @@ def _decode_instance(spec):
             for j in range(m)
         )
         objective.append(lp_objective(target, exponent, I=None))
-    inst = build_3way_linesum(m, m, m, allU, allU, allU, caps, objective=tuple(objective))
+    inst = replace(_decode_margins(spec.side, spec.u, spec.U), objective=tuple(objective))
     return inst, (exponent if spec.p == inf else None)
 
 

@@ -35,7 +35,7 @@ __all__ = [
 
 def _norm(x):
     # keep integers as ints so integer-data objectives stay integer-valued
-    if isinstance(x, Fraction) and x.denominator == 1:
+    if type(x) is Fraction and x.denominator == 1:
         return int(x)
     return x
 
@@ -215,11 +215,6 @@ class CompositeObjective:
     @property
     def s(self):
         return len(self.rows)
-
-    def row_matrix(self):
-        from .linalg import Mat
-
-        return Mat(tuple(r for r, _ in self.rows), cols=self.dim)
 
 
 def evaluate(obj, z):

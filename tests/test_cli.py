@@ -423,6 +423,13 @@ GOLDEN_DOCS = {
          "upper": [[2, -1], [2, 2]]},
         {"kind": "blocks", "blocks": [_comp([0, 0], [0, 0])] * 2},
     ),
+    # 2 z_1 + ... + 2 z_20 = 41 has no integer point; a scan of the box
+    # alone, without the parity argument, would take hours
+    "parity": _doc(
+        "ip",
+        {"A": [[2] * 20], "b": [41], "lower": [0] * 20, "upper": [3] * 20},
+        {"kind": "linear", "c": [1] * 20},
+    ),
     "unbounded": _doc(
         "lp",
         {"A": [[1, -1]], "b": [0], "lower": [0, 0], "upper": [None, None], "z0": [0, 0]},
@@ -443,6 +450,7 @@ GOLDEN_OUT = {
     "infeasible": (2, '{"format_version":1,"kind":"result","stats":{"augment_steps":0,"basis_size":0,"directions_evaluated":0},"status":"infeasible"}\n'),
     "infeasible-box": (2, '{"format_version":1,"kind":"result","stats":{"augment_steps":0,"basis_size":0,"directions_evaluated":0},"status":"infeasible"}\n'),
     "nfold-infeasible-box": (2, '{"format_version":1,"kind":"result","stats":{"augment_steps":0,"basis_size":0,"directions_evaluated":0},"status":"infeasible"}\n'),
+    "parity": (2, '{"format_version":1,"kind":"result","stats":{"augment_steps":0,"basis_size":0,"directions_evaluated":0},"status":"infeasible"}\n'),
     "unbounded": (3, '{"format_version":1,"kind":"result","stats":{"augment_steps":0,"basis_size":0,"directions_evaluated":0},"status":"unbounded"}\n'),
 }
 

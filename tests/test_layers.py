@@ -1,9 +1,13 @@
 """The benchmark's traced run wraps graveropt functions by name
 (graverbench/tracing.py LAYERS); a refactor that renames or bypasses one
-of them would silently drop its layer from the per-layer table."""
+of them would silently drop its layer from the per-layer table.  The
+benchmark's own output checks run here too."""
 
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import graveropt.nfold as nfold
 import graveropt.twostage as twostage
@@ -68,3 +72,20 @@ def test_solve_twostage_steps_through_its_layers(monkeypatch):
     twostage.solve_twostage(inst)
     assert [a[:2] for a in extracted] == [(T, W)]
     assert len(steps) >= 2
+
+
+def test_benchmark_solve_docs_outputs_are_correct(tmp_path):
+    # one pass of solve-docs rounds (108 CLI solves of every document
+    # kind), each output checked by graverbench's checker
+    proc = subprocess.run(
+        [sys.executable, "graverbench/run.py", "--workload", "solve-docs", "--seed", "1",
+         "--seconds", "0", "--results", str(tmp_path)],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

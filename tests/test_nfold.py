@@ -8,6 +8,7 @@ from graveropt.bruteforce import enumerate_feasible, first_feasible, solve_oracl
 from graveropt.errors import DimMismatch, Infeasible, NotStabilized, NTooSmall
 from graveropt.graver import graver
 from graveropt.linalg import Mat, dot, kernel_basis, rank
+from graveropt.models import build_transportation
 from graveropt.nfold import (
     BlockVector,
     NFoldInstance,
@@ -384,3 +385,29 @@ def test_box_with_negative_upper_is_infeasible():
     )
     with pytest.raises(Infeasible):
         inst.box()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # unit rows: the plain lifted test set
+        lambda k: (((1, 0), AbsPower(1, 2, k % 3)), ((0, 1), AbsPower(1, 2, 2 - k % 3))),
+        # a shared non-unit row: the composite lifted test set
+        lambda k: (((1, 2), AbsPower(1, 2, 1 + k % 4)),),
+    ],
+    ids=["unit-rows", "shared-row"],
+)
+def test_lifted_solve_matches_direct(monkeypatch, rows):
+    # 2 suppliers x 13 customers: 26 flat variables, past DIRECT_THRESHOLD
+    objective = tuple(comp((k % 2, 0), rows(k)) for k in range(13))
+    inst = build_transportation((10, 16), (2,) * 13, 2, objective=objective)
+    assert inst.N * inst.n > nfold.DIRECT_THRESHOLD
+    lifts = []
+    monkeypatch.setattr(nfold, "lift_graver", lambda *a: lifts.append(a) or lift_graver(*a))
+    lifted_point, lifted_trace = solve_nfold(inst)
+    assert len(lifts) == 1
+    point, trace = solve_nfold(inst, direct_threshold=26)
+    assert len(lifts) == 1
+    assert lifted_point == point
+    assert lifted_trace == trace
+    assert len(trace) > 0
