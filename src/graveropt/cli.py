@@ -34,10 +34,10 @@ from .errors import (
     SearchSpaceTooLarge,
     UnboundedObjective,
 )
-from .graver import circuits, graver, graver_composite
+from .graver import circuits, graver, graver_composite, rows_matter
 from .linalg import Mat, integer_solution
 from .models import _decode_instance, _decode_lowered
-from .nfold import DIRECT_THRESHOLD, solve_nfold, _unit_rows_only
+from .nfold import DIRECT_THRESHOLD, solve_nfold
 from .objective import CompositeObjective, LinearObjective, evaluate
 from .twostage import solve_twostage
 
@@ -116,9 +116,7 @@ def _composite_rows(obj, cols):
 
 def _ip_directions(box, objective):
     C = _composite_rows(objective, box.A.cols)
-    if _unit_rows_only(C) or C.rows == 0:
-        return graver(box.A)
-    return graver_composite(box.A, C)
+    return graver_composite(box.A, C) if rows_matter(C) else graver(box.A)
 
 
 def _flat_problem(kind, obj):
@@ -161,7 +159,7 @@ def cmd_solve(args):
             else:
                 z, trace = solve_ip_greedy(z0, _ip_directions(box, objective), objective, box)
         elif kind == "twostage":
-            point, trace = solve_twostage(obj, cap=args.graver_cap or 4)
+            point, trace = solve_twostage(obj, cap=4 if args.graver_cap is None else args.graver_cap)
             z = point.flatten()
         elif kind == "decode":
             res, point = _decode_lowered(obj, *lowered)
@@ -169,7 +167,7 @@ def cmd_solve(args):
         else:
             point, trace = solve_nfold(
                 obj,
-                graver_cap=args.graver_cap or 6,
+                graver_cap=6 if args.graver_cap is None else args.graver_cap,
                 direct_threshold=args.direct_threshold,
             )
             z = point.flatten()

@@ -121,22 +121,42 @@ def graver(A):
     return GraverBasis(A, _graver_elements(A))
 
 
+def fold_rows(A, C):
+    """The block matrix [[A, 0], [C, I]] that folds objective rows C
+    into A.
+
+    Its kernel vectors are (x, C x) for x in the kernel of A, so the
+    conformal test set of the fold, cut back to the leading A.cols
+    coordinates, holds the moves that are conformal in x and in the row
+    values C x at once: the paper's test set for f(C x).
+    """
+    if C.cols != A.cols:
+        raise DimMismatch("C must have %d columns, has %d" % (A.cols, C.cols))
+    s = C.rows
+    return Mat.vstack(Mat.hstack(A, Mat.zeros(A.rows, s)), Mat.hstack(C, Mat.identity(s)))
+
+
+def rows_matter(C):
+    """Whether folding rows C changes the usable step directions.
+
+    False with no rows or only +-unit rows: the auxiliary coordinate of
+    a row +-x_j takes its sign from x_j in every kernel vector, so the
+    fold's test set projects onto the test set of A itself.
+    """
+    return any([abs(a) for a in row if a] != [1] for row in C.data)
+
+
 def graver_composite(A, C):
-    """Test set of the block matrix [[A,0],[C,I]] with projection marker.
+    """Test set of fold_rows(A, C) with projection marker.
 
     The leading A.cols coordinates of each element are the usable step;
     the trailing C.rows coordinates track the row values C·step and are
     kept so the projection stays recoverable.  With no C rows this is
     exactly graver(A).
     """
-    if C.cols != A.cols:
-        raise DimMismatch("C must have %d columns, has %d" % (A.cols, C.cols))
-    s = C.rows
-    if s == 0:
+    M = fold_rows(A, C)
+    if not C.rows:
         return graver(A)
-    top = Mat.hstack(A, Mat.zeros(A.rows, s))
-    bottom = Mat.hstack(C, Mat.identity(s))
-    M = Mat.vstack(top, bottom)
     return GraverBasis(M, _graver_elements(M), project_to=A.cols)
 
 

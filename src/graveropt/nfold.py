@@ -12,8 +12,14 @@ then assembled by embedding the nonzero-block sequences of the small
 basis into N slots in every order-preserving way.
 
 Composite objectives ride along by folding their shared coefficient
-rows into the block: [[A,0],[rows,I]] is again a block matrix of the
-same shape, so the same lifting applies.
+rows into the block: the pair ([[A,0],[rows,I]], [B 0]) has the same
+shape, and its block matrix is the flat fold of the plain one up to a
+permutation of rows and columns.  So the direct and lifted paths fold
+the pair once (unless graver.rows_matter says the rows change nothing)
+and cut each block back to its first n coordinates.  Test sets, direct
+or lifted, are cached per pair and width.  The lifted walk computes no
+block test set wider than the instance: when it reaches width N
+unstabilized, the test set it computed there is the answer.
 
 Feasibility (phase one) uses the test set the solve walks anyway:
 augment.feasible_start takes an integer solution of the block
@@ -29,22 +35,15 @@ from itertools import combinations
 
 from .augment import DirectionTable, FeasibleBox, feasible_start, solve_ip_greedy
 from .errors import DimMismatch, DomainError, Infeasible, NotStabilized, NTooSmall
-from .graver import GraverBasis, graver, graver_composite
+from .graver import GraverBasis, fold_rows, graver, rows_matter
 from .linalg import Mat, is_zero
 from .objective import CompositeObjective
-
-# Repeated solves over the same constraint matrix (decode batches,
-# documents of one shape) reuse the test set; matrices are immutable
-# and hashable so the cache key is the matrix itself.
-_graver_cached = lru_cache(maxsize=64)(graver)
-_graver_composite_cached = lru_cache(maxsize=64)(graver_composite)
 
 __all__ = [
     "NFoldInstance",
     "BlockVector",
     "LiftedGraver",
     "build_nfold_matrix",
-    "compose_with_C",
     "graver_complexity",
     "analyze_pair",
     "lift_graver",
@@ -73,56 +72,6 @@ def build_nfold_matrix(A, B, N):
             parts.append(Mat.zeros(A.rows, (N - 1 - i) * n))
         body.append(Mat.hstack(*parts))
     return Mat.vstack(top, *body)
-
-
-def compose_with_C(A, B, C, N):
-    """Block matrix with objective rows C folded in, plus the row and
-    column maps onto its per-block-interleaved form.
-
-    The returned matrix keeps all x-columns first (block-diagonal C with
-    an identity to the right, below the plain block matrix).  The same
-    system, with each block's auxiliary columns interleaved after its
-    x-columns, is the block matrix of the pair ((A 0; C I), (B 0)); the
-    maps say which interleaved row/column each returned row/column is,
-    so printed[i][j] == interleaved[row_map[i]][col_map[j]].
-    """
-    if C.cols != A.cols:
-        raise DimMismatch("C must have %d columns" % (A.cols,))
-    n = A.cols
-    s = C.rows
-    da = A.rows
-    db = B.rows
-    base = build_nfold_matrix(A, B, N)
-    if s == 0:
-        return base, (tuple(range(base.rows)), tuple(range(base.cols)))
-    left = Mat.vstack(base, *[_embed_block(C, i, N) for i in range(N)])
-    right = Mat.vstack(Mat.zeros(db + N * da, N * s), Mat.identity(N * s))
-    printed = Mat.hstack(left, right)
-    col_map = []
-    for i in range(N):
-        for k in range(n):
-            col_map.append(i * (n + s) + k)
-    for i in range(N):
-        for k in range(s):
-            col_map.append(i * (n + s) + n + k)
-    row_map = list(range(db))
-    for i in range(N):
-        for k in range(da):
-            row_map.append(db + i * (da + s) + k)
-    for i in range(N):
-        for k in range(s):
-            row_map.append(db + i * (da + s) + da + k)
-    return printed, (tuple(row_map), tuple(col_map))
-
-
-def _embed_block(M, i, N):
-    parts = []
-    if i:
-        parts.append(Mat.zeros(M.rows, i * M.cols))
-    parts.append(M)
-    if i < N - 1:
-        parts.append(Mat.zeros(M.rows, (N - 1 - i) * M.cols))
-    return Mat.hstack(*parts)
 
 
 @dataclass(frozen=True)
@@ -161,14 +110,13 @@ class LiftedGraver:
     seed_elements maps each type t (number of nonzero blocks) to the
     canonical tuple of nonzero-block sequences occurring at that type;
     embedding those sequences order-preservingly into N slots yields the
-    full test set for every N >= target_N.
+    full test set for every N >= generator_type_bound.
     """
 
     A: Mat
     B: Mat
     generator_type_bound: int
     seed_elements: tuple  # of (type, tuple of block sequences)
-    target_N: int
 
     def sequences(self):
         for t, seqs in self.seed_elements:
@@ -191,6 +139,13 @@ def analyze_pair(A, B, cap=6):
     A pair whose test sets are empty at N = 1 and 2 stabilizes trivially
     at bound 1.  NotStabilized(cap) when no g <= cap qualifies.
     """
+    return _walk(A, B, cap)
+
+
+def _walk(A, B, cap, width=None):
+    """analyze_pair's walk.  With a width it computes no test set wider
+    than that: reaching N = width unstabilized, it returns the directly
+    computed GraverBasis at that width instead of seeds."""
     if cap < 2:
         raise DomainError("cap must be at least 2")
     if A.cols != B.cols:
@@ -200,19 +155,21 @@ def analyze_pair(A, B, cap=6):
 
     def basis_at(N):
         if N not in bases:
-            bases[N] = graver(build_nfold_matrix(A, B, N)).elements
-        return bases[N]
+            bases[N] = graver(build_nfold_matrix(A, B, N))
+        return bases[N].elements
 
-    if not basis_at(1) and not basis_at(2):
-        return LiftedGraver(A, B, 1, (), 1)
+    if not basis_at(1) and width != 1 and not basis_at(2):
+        return LiftedGraver(A, B, 1, ())
     for g in range(1, cap + 1):
-        if _max_type(basis_at(g), n) == g and _max_type(basis_at(g + 1), n) == g:
+        if _max_type(basis_at(g), n) == g and g != width and _max_type(basis_at(g + 1), n) == g:
             grouped = {}
             for e in basis_at(g):
                 seq = _nonzero_blocks(e, n)
                 grouped.setdefault(len(seq), set()).add(seq)
             seeds = tuple((t, tuple(sorted(grouped[t]))) for t in sorted(grouped))
-            return LiftedGraver(A, B, g, seeds, g)
+            return LiftedGraver(A, B, g, seeds)
+        if g == width:
+            return bases[g]
     raise NotStabilized(cap, "maximum block type kept growing through N = %d" % (cap + 1,))
 
 
@@ -333,50 +290,43 @@ class NFoldInstance:
         return CompositeObjective(c, tuple(rows))
 
 
-def _unit_rows_only(C):
-    # +-unit coefficient rows make the auxiliary coordinates mirror plain
-    # ones, so folding them into the matrix changes nothing about the set
-    # of usable step directions
-    for row in C.data:
-        nz = [a for a in row if a]
-        if len(nz) != 1 or abs(nz[0]) != 1:
-            return False
-    return True
-
-
 def _test_set(inst, graver_cap=6, direct_threshold=DIRECT_THRESHOLD):
     """Move source of the walks over inst.box(): the test set of the
-    full matrix (with the objective's shared coefficient rows folded in
-    unless they are all +-unit rows, which contribute nothing).  Up to
+    block matrix, with the objective's shared coefficient rows folded
+    into the pair when graver.rows_matter says they count.  Up to
     direct_threshold flat variables it is computed directly; beyond
     that it is lifted from the stabilized seed generators."""
-    n, N = inst.n, inst.N
+    A, B, N, n = inst.A, inst.B, inst.N, inst.n
     C = inst.shared_rows()
-    A = inst.matrix()
-    plain = C.rows == 0 or _unit_rows_only(C)
-    if N * n <= direct_threshold:
-        if plain:
-            return _graver_cached(A)
-        C_flat = Mat.vstack(*[_embed_block(C, i, N) for i in range(N)])
-        return _graver_composite_cached(A, C_flat)
-    if plain:
-        return lift_graver(analyze_pair(inst.A, inst.B, cap=graver_cap), N)
-    s = C.rows
-    Abar = Mat.vstack(
-        Mat.hstack(inst.A, Mat.zeros(inst.A.rows, s)),
-        Mat.hstack(C, Mat.identity(s)),
-    )
-    Bbar = Mat.hstack(inst.B, Mat.zeros(inst.B.rows, s))
-    lifted = lift_graver(analyze_pair(Abar, Bbar, cap=graver_cap), N)
-    width = n + s
-    seen = set()
-    proj = []
-    for e in lifted.elements:
-        p = sum((e[i * width : i * width + n] for i in range(N)), ())
-        if not is_zero(p) and p not in seen:
-            seen.add(p)
-            proj.append(p)
-    # one table, so phase one and the solve share its bitsets
+    M = inst.matrix()
+    if rows_matter(C):
+        A, B, M = fold_rows(A, C), Mat.hstack(B, Mat.zeros(B.rows, C.rows)), None
+    cap = None if N * n <= direct_threshold else graver_cap
+    return _block_test_set(A, B, N, n, cap, M)
+
+
+# Repeated solves over one pair and width (decode batches, documents of
+# one shape) reuse the test set; matrices are immutable and hashable.
+@lru_cache(maxsize=64)
+def _block_test_set(A, B, N, n, cap, M):
+    """Test set of the block matrix of (A, B) at width N: computed
+    directly when cap is None, else lifted through the walk with that
+    cap.  M, when given, is that block matrix as the instance built it
+    for its box, so a solve builds it once.  A folded
+    pair, A wider than n, keeps the first n coordinates of each block:
+    nonzero, deduplicated and sorted, in one table so that phase one
+    and the solve share its bitsets."""
+    if cap is None:
+        G = graver(build_nfold_matrix(A, B, N) if M is None else M)
+    else:
+        G = _walk(A, B, cap, N)
+        if isinstance(G, LiftedGraver):
+            G = lift_graver(G, N)
+    width = A.cols
+    if width == n:
+        return G
+    proj = {sum((e[i * width : i * width + n] for i in range(N)), ()) for e in G.elements}
+    proj.discard((0,) * (N * n))
     return DirectionTable(sorted(proj))
 
 

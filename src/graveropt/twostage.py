@@ -13,10 +13,12 @@ is accepted, and "no assembled move improves" still certifies
 optimality because assembly covers every projected test-set element.
 
 Composite objectives with shared rows (c_j, d_j) fold into the pair as
-stacked matrices (T over C) and ((W, 0) over (D, I)), mirroring the
-plain block construction.  Step lengths are enumerated directly over
-the box span, which is the one deliberate concession to simplicity over
-asymptotic step-count guarantees.
+stacked matrices (T over C) and graver.fold_rows(W, D), mirroring the
+plain block construction.  Rows that graver.rows_matter finds change
+nothing ([C D] all +-unit rows) are left out, as on the flat and N-fold
+paths.  Step lengths are enumerated directly over the box span, which
+is the one deliberate concession to simplicity over asymptotic
+step-count guarantees.
 
 The assembled moves feed the shared integer loop: BlockMoves is the
 move source that augment.solve_ip_greedy walks.  It prices moves by
@@ -31,7 +33,7 @@ from types import MappingProxyType
 
 from .augment import FeasibleBox, GreedyStep, feasible_start, solve_ip_greedy
 from .errors import DimMismatch, DomainError, Infeasible, NotStabilized
-from .graver import graver
+from .graver import fold_rows, graver, rows_matter
 from .linalg import Mat, is_zero
 from .objective import CompositeObjective, evaluate
 
@@ -107,12 +109,13 @@ def extract_building_blocks(T, W, C=None, D=None, cap=4):
     """Harvest first- and second-stage blocks from the test sets of the
     stacked pair at N = 1..cap.
 
-    With objective rows (C, D) the pair is (T over C) and ((W, 0) over
-    (D, I)); the auxiliary coordinates are dropped again after the
-    computation since they are a linear image of (v, w).  Raises
-    NotStabilized(cap) unless the harvested sets are identical after
-    N = cap - 1 and N = cap.  Results are cached per (T, W, C, D, cap),
-    so repeated solves over the same pair share one read-only pool.
+    With objective rows (C, D) that graver.rows_matter counts, the pair
+    is (T over C) and fold_rows(W, D); the auxiliary coordinates are
+    dropped again after the computation since they are a linear image
+    of (v, w).  Raises NotStabilized(cap) unless the harvested sets are
+    identical after N = cap - 1 and N = cap.  Results are cached per
+    (T, W, C, D, cap), so repeated solves over the same pair share one
+    read-only pool.
     """
     if cap < 2:
         raise DomainError("cap must be at least 2")
@@ -121,7 +124,7 @@ def extract_building_blocks(T, W, C=None, D=None, cap=4):
     if C is not None and C.rows:
         if C.cols != T.cols or D.cols != W.cols or C.rows != D.rows:
             raise DimMismatch("objective rows must be s x m and s x n")
-    else:
+    if C is None or not C.rows or not rows_matter(Mat.hstack(C, D)):
         C = D = None
     blocks, stable = _harvest_blocks(T, W, C, D, cap)
     if not stable:
@@ -134,15 +137,13 @@ def extract_building_blocks(T, W, C=None, D=None, cap=4):
 @lru_cache(maxsize=256)
 def _harvest_blocks(T, W, C, D, cap):
     """(blocks, stabilized) for the validated arguments of
-    extract_building_blocks; C and D are None when there are no rows."""
+    extract_building_blocks; C and D are None when no rows fold in."""
     m, n = T.cols, W.cols
     if C is not None:
-        s = C.rows
-        Tc = Mat.vstack(T, C)
-        Wc = Mat.vstack(Mat.hstack(W, Mat.zeros(T.rows, s)), Mat.hstack(D, Mat.identity(s)))
-        width = n + s
+        Tc, Wc = Mat.vstack(T, C), fold_rows(W, D)
     else:
-        Tc, Wc, width = T, W, n
+        Tc, Wc = T, W
+    width = Wc.cols
 
     first = set()
     second = {}
@@ -174,7 +175,7 @@ def _check_point(z, inst):
         raise DimMismatch("point shape does not match the instance")
 
 
-def _scenario_candidates(inst, blocks, v, alpha):
+def _scenario_candidates(inst, blocks, v):
     """Per-scenario w pools for first-stage block v: harvested partners
     plus the zero block when v alone is in the kernel of T."""
     pool = blocks.pool(v)
@@ -241,7 +242,7 @@ def _assemble(z, blocks, p, alpha):
         x2 = _boxed(z.x, v, alpha, p.lower.x, p.upper.x)
         if x2 is None:
             continue
-        pool = _scenario_candidates(inst, blocks, v, alpha)
+        pool = _scenario_candidates(inst, blocks, v)
         total = evaluate(p.first, x2)
         ws = []
         dead = False

@@ -412,6 +412,19 @@ GOLDEN_DOCS = {
         {"kind": "blocks",
          "blocks": [_comp([0, 3, 3, 0], [1, 0, 0, 1]), _comp([3, 0, 0, 3], [0, 1, 1, 0])]},
     ),
+    # few blocks past DIRECT_THRESHOLD: the lifted walk stops at N, and
+    # the results are those of --direct-threshold 30
+    "transportation-25x1": _doc(
+        "transportation",
+        {"supplies": [1] * 25, "demands": [25], "caps": 1},
+        {"kind": "blocks", "blocks": [_comp([j % 4 for j in range(25)], [])]},
+    ),
+    "transportation-13x2": _doc(
+        "transportation",
+        {"supplies": [1] * 13, "demands": [6, 7], "caps": 1},
+        {"kind": "blocks",
+         "blocks": [_comp([3 * j % 5 for j in range(13)], []), _comp([(2 * j + 1) % 4 for j in range(13)], [])]},
+    ),
     "twostage": _doc("twostage", TWOSTAGE_PAYLOAD, TWOSTAGE_OBJ),
     "decode-p1": _doc("decode", dict(DECODE_PAYLOAD, p=1), None),
     "decode-pinf": _doc("decode", dict(DECODE_PAYLOAD, p="inf"), None),
@@ -443,6 +456,8 @@ GOLDEN_OUT = {
     "nfold": (0, '{"format_version":1,"kind":"result","point":[2,0,0,2],"stats":{"augment_steps":1,"basis_size":2,"directions_evaluated":4},"status":"optimal","trace":[{"direction":[1,-1,-1,1],"steplen":2,"value_after":4,"value_before":16}],"value":"4"}\n'),
     "transportation": (0, '{"format_version":1,"kind":"result","point":[1,0,1,1],"stats":{"augment_steps":1,"basis_size":2,"directions_evaluated":4},"status":"optimal","trace":[{"direction":[1,-1,-1,1],"steplen":1,"value_after":5,"value_before":9}],"value":"5"}\n'),
     "table3": (0, '{"format_version":1,"kind":"result","point":[1,0,0,1,0,1,1,0],"stats":{"augment_steps":0,"basis_size":2,"directions_evaluated":2},"status":"optimal","trace":[],"value":"0"}\n'),
+    "transportation-25x1": (0, '{"format_version":1,"kind":"result","point":[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1],"stats":{"augment_steps":0,"basis_size":0,"directions_evaluated":0},"status":"optimal","trace":[],"value":"36"}\n'),
+    "transportation-13x2": (0, '{"format_version":1,"kind":"result","point":[1,0,0,0,0,1,0,1,0,1,1,0,1,0,1,1,1,1,0,1,0,1,0,0,1,0],"stats":{"augment_steps":2,"basis_size":156,"directions_evaluated":468},"status":"optimal","trace":[{"direction":[0,0,0,0,0,1,0,0,-1,0,0,0,0,0,0,0,0,0,-1,0,0,1,0,0,0,0],"steplen":1,"value_after":18,"value_before":24},{"direction":[1,0,0,0,0,0,0,0,0,0,0,-1,0,-1,0,0,0,0,0,0,0,0,0,0,1,0],"steplen":1,"value_after":17,"value_before":18}],"value":"17"}\n'),
     "twostage": (0, '{"format_version":1,"kind":"result","point":[1,1,2],"stats":{"augment_steps":1,"basis_size":2,"directions_evaluated":4},"status":"optimal","trace":[{"direction":[-1,1,1],"steplen":1,"value_after":7,"value_before":9}],"value":"7"}\n'),
     "decode-p1": (0, '{"format_version":1,"kind":"result","point":[1,1,1,1,1,1,1,1],"stats":{"augment_steps":1,"basis_size":2,"directions_evaluated":4},"status":"optimal","trace":[{"direction":[1,-1,-1,1,-1,1,1,-1],"steplen":1,"value_after":2,"value_before":6}],"value":"2"}\n'),
     # p = inf reports the l_inf distance, not the surrogate objective
@@ -460,6 +475,14 @@ def test_solve_trace_golden_output(tmp_path, capsys, name):
     path = write_doc(tmp_path, GOLDEN_DOCS[name])
     code, out, _ = run(capsys, ["solve", path, "--trace"])
     assert (code, canonical_without_wall(out)) == GOLDEN_OUT[name]
+
+
+def test_graver_cap_zero_is_not_the_default(tmp_path, capsys):
+    path = write_doc(tmp_path, GOLDEN_DOCS["twostage"])
+    for cap in ("0", "1"):
+        code, out, err = run(capsys, ["solve", path, "--graver-cap", cap])
+        assert code == 1 and out == ""
+        assert "cap must be at least 2" in err
 
 
 def test_solve_decode_builds_matrix_once(tmp_path, capsys, monkeypatch):

@@ -11,22 +11,24 @@ import sys
 
 import graveropt.nfold as nfold
 import graveropt.twostage as twostage
+from graveropt.cli import main
+from graveropt.documents import to_json
 from graveropt.linalg import Mat
 from graveropt.objective import CompositeObjective
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _load_tracing():
-    path = os.path.join(ROOT, "graverbench", "tracing.py")
-    spec = importlib.util.spec_from_file_location("graverbench_tracing", path)
+def _load_bench(name):
+    path = os.path.join(ROOT, "graverbench", name + ".py")
+    spec = importlib.util.spec_from_file_location("graverbench_" + name, path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
 def test_every_layer_resolves():
-    tracing = _load_tracing()
+    tracing = _load_bench("tracing")
     for name, module, attr in tracing.LAYERS:
         assert callable(tracing._resolve(module, attr)), name
 
@@ -89,3 +91,49 @@ def test_benchmark_solve_docs_outputs_are_correct(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def _graveropt_caches():
+    return {
+        (name, attr): value
+        for name, mod in list(sys.modules.items())
+        if name.startswith("graveropt") and mod is not None
+        for attr, value in vars(mod).items()
+        if hasattr(value, "cache_info")
+    }
+
+
+def _blocks(N, c, rows=()):
+    return {"kind": "blocks", "blocks": [{"kind": "composite", "c": c, "rows": list(rows)}] * N}
+
+
+def test_benchmark_reset_empties_every_grown_cache(tmp_path, monkeypatch, capsys):
+    # solve-docs times cold caches by emptying those of nfold and
+    # twostage; a test-set cache anywhere else would keep its runs warm
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "graverbench"))
+    workloads = _load_bench("workloads")
+    sq = {"kind": "abs_power", "scale": 1, "power": 2, "shift": 1}
+    pair = {"A": [[1, 1, 2]], "B": [[1, 0, 1]], "N": 2, "b": [[2], [2]], "b0": [2],
+            "upper": [[2, 2, 1], [2, 2, 1]]}
+    docs = {
+        # shapes no other test solves, so every cache they use grows
+        "direct": ("nfold", pair, _blocks(2, [1, 0, 2])),
+        "lifted": ("transportation", {"supplies": [9, 8], "demands": [1] * 17, "caps": 1},
+                   _blocks(17, [1, 0])),
+        "composite": ("nfold", pair, _blocks(2, [0, 1, 0], [{"coeffs": [1, 2, 0], "fn": sq}])),
+        "twostage": ("twostage", {"T": [[2]], "W": [[1, 1]], "N": 2, "b": [[3], [4]], "ux": [2],
+                                  "uy": [[2, 2], [2, 2]]}, _blocks(2, [1, -1, 1])),
+    }
+    caches = _graveropt_caches()
+    before = {key: c.cache_info().currsize for key, c in caches.items()}
+    for name, (kind, payload, objective) in docs.items():
+        path = tmp_path / (name + ".json")
+        doc = {"format_version": 1, "kind": kind, "payload": payload, "objective": objective}
+        path.write_text(to_json(doc))
+        assert main(["solve", str(path)]) == 0, name
+    capsys.readouterr()
+    grown = [key for key, c in caches.items() if c.cache_info().currsize > before[key]]
+    assert ("graveropt.nfold", "_block_test_set") in grown
+    assert ("graveropt.twostage", "_harvest_blocks") in grown
+    workloads.SolveDocs(1, str(tmp_path / "work")).reset()
+    assert [key for key in grown if caches[key].cache_info().currsize] == []

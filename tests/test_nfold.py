@@ -6,15 +6,14 @@ import graveropt.nfold as nfold
 from graveropt.augment import FeasibleBox, solve_ip_greedy
 from graveropt.bruteforce import enumerate_feasible, first_feasible, solve_oracle
 from graveropt.errors import DimMismatch, Infeasible, NotStabilized, NTooSmall
-from graveropt.graver import graver
-from graveropt.linalg import Mat, dot, kernel_basis, rank
+from graveropt.graver import graver, graver_composite
+from graveropt.linalg import Mat, dot, kernel_basis
 from graveropt.models import build_transportation
 from graveropt.nfold import (
     BlockVector,
     NFoldInstance,
     analyze_pair,
     build_nfold_matrix,
-    compose_with_C,
     graver_complexity,
     lift_graver,
     phase_one,
@@ -58,36 +57,43 @@ def test_build_nfold_matrix_dim_mismatch():
         build_nfold_matrix(A11, Mat(((1, 0, 0),)), 2)
 
 
-def test_compose_with_C_no_rows_degenerate():
-    M, _ = compose_with_C(A11, B10, Mat((), cols=2), 2)
-    assert M.to_lists() == build_nfold_matrix(A11, B10, 2).to_lists()
-
-
-def test_compose_with_C_permutation():
-    C = Mat(((1, 0),))
-    M, perm = compose_with_C(A11, B10, C, 2)
-    Abar = Mat(((1, 1, 0), (1, 0, 1)))
-    Bbar = Mat(((1, 0, 0),))
-    plain = build_nfold_matrix(Abar, Bbar, 2)
-    rows, cols = perm
-    permuted = [[plain.data[i][j] for j in cols] for i in rows]
-    assert permuted == M.to_lists()
-
-
-def test_compose_with_C_kernel_dim_preserved():
+def test_direct_composite_test_set_is_the_flat_fold():
+    # the block matrix of the folded pair is the flat fold of the block
+    # matrix up to a permutation, so both give the same directions
     rng = random.Random(41)
     for _ in range(10):
-        n = rng.randint(1, 2)
+        n, N = rng.randint(1, 2), rng.randint(1, 3)
         A = Mat((tuple(rng.randint(-1, 2) for _ in range(n)),))
         B = Mat((tuple(rng.randint(-1, 2) for _ in range(n)),))
-        C = Mat((tuple(rng.randint(-1, 1) for _ in range(n)),))
-        N = rng.randint(1, 3)
-        M, _ = compose_with_C(A, B, C, N)
-        Abar = Mat.vstack(Mat.hstack(A, Mat.zeros(A.rows, 1)), Mat.hstack(C, Mat.identity(1)))
-        Bbar = Mat.hstack(B, Mat.zeros(B.rows, 1))
-        plain = build_nfold_matrix(Abar, Bbar, N)
-        assert M.cols == plain.cols
-        assert rank(M) == rank(plain)
+        row = (rng.choice((-2, 2)),) + tuple(rng.randint(-1, 1) for _ in range(n - 1))
+        inst = NFoldInstance(
+            A=A,
+            B=B,
+            N=N,
+            b0=(0,),
+            b=((0,),) * N,
+            upper=((1,) * n,) * N,
+            objective=(comp((0,) * n, ((row, SQ),)),) * N,
+        )
+        C_flat = Mat(tuple((0,) * (i * n) + row + (0,) * ((N - 1 - i) * n) for i in range(N)))
+        want = graver_composite(inst.matrix(), C_flat).directions()
+        assert nfold._test_set(inst).directions == want, (A.data, B.data, row, N)
+
+
+def test_lifted_walk_stops_at_the_instance_width(monkeypatch):
+    # 13 suppliers x 2 customers: 26 flat variables take the lifted
+    # path, whose walk stops at N = 2 with the direct test set there
+    objective = tuple(comp(tuple((3 * j + 7 * k) % 5 for j in range(13))) for k in range(2))
+    inst = build_transportation((1,) * 13, (6, 7), 1, objective=objective)
+    assert inst.N * inst.n > nfold.DIRECT_THRESHOLD
+    nfold._block_test_set.cache_clear()
+    widths = []
+    real = nfold.build_nfold_matrix
+    monkeypatch.setattr(nfold, "build_nfold_matrix", lambda A, B, N: widths.append(N) or real(A, B, N))
+    lifted = solve_nfold(inst)
+    assert max(widths) == inst.N
+    assert lifted == solve_nfold(inst, direct_threshold=26)
+    assert len(lifted[1]) > 0
 
 
 def test_graver_complexity_values():
@@ -402,6 +408,7 @@ def test_lifted_solve_matches_direct(monkeypatch, rows):
     objective = tuple(comp((k % 2, 0), rows(k)) for k in range(13))
     inst = build_transportation((10, 16), (2,) * 13, 2, objective=objective)
     assert inst.N * inst.n > nfold.DIRECT_THRESHOLD
+    nfold._block_test_set.cache_clear()
     lifts = []
     monkeypatch.setattr(nfold, "lift_graver", lambda *a: lifts.append(a) or lift_graver(*a))
     lifted_point, lifted_trace = solve_nfold(inst)

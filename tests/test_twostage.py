@@ -14,6 +14,7 @@ from graveropt.errors import (
 from graveropt.graver import graver, graver_composite
 from graveropt.linalg import Mat, integer_solution, kernel_basis
 from graveropt.objective import AbsPower, CompositeObjective, evaluate
+import graveropt.twostage as twostage
 from graveropt.twostage import (
     BlockMoves,
     BuildingBlocks,
@@ -221,6 +222,17 @@ def test_blocks_with_objective_rows():
     for v in blocks.first_stage:
         for w in blocks.pool(v):
             assert v[0] + w[0] == 0
+
+
+def test_blocks_ignore_unit_objective_rows():
+    # +-unit rows change no usable direction: the pool is the plain
+    # pair's, and folding the rows in anyway harvests the same pool
+    T, W = Mat(((1, -1),)), Mat(((1,),))
+    C = Mat(((1, 0), (0, -1), (0, 0)))
+    D = Mat(((0,), (0,), (1,)))
+    plain = extract_building_blocks(T, W, cap=4)
+    assert extract_building_blocks(T, W, C, D, cap=4) == plain
+    assert twostage._harvest_blocks(T, W, C, D, 4) == (plain, True)
 
 
 def test_blocks_argument_validation():
