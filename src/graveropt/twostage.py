@@ -25,17 +25,23 @@ move source that augment.solve_ip_greedy walks.  It prices moves by
 the flat objective and box it is handed, split into a first-stage part
 and one part per scenario, so the pool of the instance's own pair
 serves both phase one (augment.feasible_start) and the main walk.
+Moves compare by the change they make to the objective.  A part that
+splits per coordinate is priced on the move's support, as
+augment.greedy_step does; such a scenario part has no row on x, so
+each of its candidate blocks is priced once per step length and shared
+by every first-stage block.  A part with a row coupling coordinates is
+evaluated whole, less its value at the current point.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .augment import FeasibleBox, GreedyStep, feasible_start, solve_ip_greedy
+from .augment import FeasibleBox, GreedyStep, _per_coordinate, feasible_start, solve_ip_greedy
 from .errors import DimMismatch, DomainError, Infeasible, NotStabilized
 from .graver import fold_rows, graver, rows_matter
 from .linalg import Mat, is_zero
-from .objective import CompositeObjective, evaluate
+from .objective import CompositeObjective, _norm, evaluate
 
 __all__ = [
     "TwoStageInstance",
@@ -194,16 +200,52 @@ def _boxed(point, delta, alpha, lower, upper):
     return tuple(out)
 
 
+def _split(f, skip):
+    """(linear costs, rows per coordinate) of f over its coordinates from
+    skip on, or None when a row of f acts on two coordinates."""
+    coord = _per_coordinate(f)
+    return None if coord is None else (f.c[skip:], coord[skip:])
+
+
+def _base(f, split, head, block):
+    """What _change subtracts: the per-coordinate row values of block
+    when f splits, else the whole value of f at head + block."""
+    if split is None:
+        return evaluate(f, head + block)
+    return [sum(g(r * t) for r, g in rows) for t, rows in zip(block, split[1])]
+
+
+def _change(f, split, base, head, new, d, alpha):
+    """Change of f when its block moves by alpha * d to new, head being
+    the coordinates before the block.  Priced on the support of d when
+    f splits per coordinate."""
+    if split is None:
+        return evaluate(f, head + new) - base
+    c, coord = split
+    acc = 0
+    for j, dj in enumerate(d):
+        if dj:
+            acc += alpha * dj * c[j] - base[j]
+            for r, g in coord[j]:
+                acc += g(r * new[j])
+    return acc
+
+
 class _Pricing:
-    """A flat objective and box over a two-stage instance, split by stage.
+    """A flat objective and box over a two-stage instance, split by stage,
+    and the candidate moves of a block pool.
 
     first holds the first-stage linear costs and the rows on x alone;
     parts[i] holds scenario i's linear costs and rows, over (x, y^(i)).
-    first plus the parts is the flat objective.  lower and upper are
-    the box bounds as TwoStagePoints.
+    first plus the parts is the flat objective.  splits holds the
+    per-coordinate split (_split) of first over x and of each part over
+    its y^(i), or None where a row couples coordinates; a part that
+    splits has no row on x.  candidates pairs every first-stage block,
+    zero included, in sorted order with its scenario pool.  lower and
+    upper are the box bounds as TwoStagePoints.
     """
 
-    def __init__(self, inst, obj, box):
+    def __init__(self, inst, blocks, obj, box):
         def split(v):
             return TwoStagePoint.from_flat(v, inst.m, inst.N, inst.n)
 
@@ -222,49 +264,56 @@ class _Pricing:
         self.inst, self.obj, self.box = inst, obj, box
         self.first = CompositeObjective(c.x, first)
         self.parts = tuple(CompositeObjective((0,) * inst.m + y, p) for y, p in zip(c.ys, parts))
+        self.splits = (_split(self.first, 0),) + tuple(_split(f, inst.m) for f in self.parts)
+        vs = sorted(set(blocks.first_stage) | {(0,) * inst.m})
+        self.candidates = tuple((v, _scenario_candidates(inst, blocks, v)) for v in vs)
         self.lower, self.upper = split(box.lower), split(box.upper)
         self.span = max([0] + [u - l for l, u in zip(box.lower, box.upper)])
 
+    def bases(self, z):
+        """_base of the first stage, then of each scenario, at point z."""
+        return [_base(self.first, self.splits[0], (), z.x)] + [
+            _base(f, s, z.x, y) for f, s, y in zip(self.parts, self.splits[1:], z.ys)
+        ]
 
-def _assemble(z, blocks, p, alpha):
-    """Best assembled move of length alpha, as (total, v, ws), or None.
 
-    For each feasible first-stage block the scenarios decouple: each
-    picks its own best partner block independently by the pricing p,
-    and the first-stage part plus the per-scenario minima are compared
-    across first-stage blocks.
+def _assemble(z, p, bases, alpha):
+    """Best assembled move of length alpha, as (delta, v, ws), or None.
+
+    delta is the change of the flat objective; bases is p.bases(z).  For
+    each feasible first-stage block the scenarios decouple: each picks
+    its own best partner block independently by the change of its part,
+    and the first-stage change plus the per-scenario minima are compared
+    across first-stage blocks.  A scenario part that splits acts on
+    y^(i) alone, so each of its blocks is priced once per call and
+    shared by every first-stage block.
     """
-    inst = p.inst
+    shared = [{} for _ in z.ys]
     best = None
-    zero_v = (0,) * inst.m
-    vs = blocks.first_stage if zero_v in blocks.first_stage else ((zero_v,) + blocks.first_stage)
-    for v in sorted(vs):
+    for v, pool in p.candidates:
         x2 = _boxed(z.x, v, alpha, p.lower.x, p.upper.x)
         if x2 is None:
             continue
-        pool = _scenario_candidates(inst, blocks, v)
-        total = evaluate(p.first, x2)
+        delta = _change(p.first, p.splits[0], bases[0], (), x2, v, alpha)
         ws = []
-        dead = False
-        for i in range(inst.N):
+        for i, y in enumerate(z.ys):
+            f, s = p.parts[i], p.splits[i + 1]
+            priced = shared[i] if s is not None else {}
             best_i = None
             for w in pool:
-                y2 = _boxed(z.ys[i], w, alpha, p.lower.ys[i], p.upper.ys[i])
-                if y2 is None:
-                    continue
-                val = evaluate(p.parts[i], x2 + y2)
-                if best_i is None or (val, w) < best_i:
-                    best_i = (val, w)
+                if w not in priced:
+                    y2 = _boxed(y, w, alpha, p.lower.ys[i], p.upper.ys[i])
+                    priced[w] = None if y2 is None else _change(f, s, bases[i + 1], x2, y2, w, alpha)
+                if priced[w] is not None and (best_i is None or (priced[w], w) < best_i):
+                    best_i = (priced[w], w)
             if best_i is None:
-                dead = True
                 break
-            total = total + best_i[0]
+            delta += best_i[0]
             ws.append(best_i[1])
-        if dead:
-            continue
-        cand = (total, v, tuple(ws))
-        if best is None or cand < best:
-            best = cand
+        else:
+            cand = (delta, v, tuple(ws))
+            if best is None or cand < best:
+                best = cand
     return best
 
 
@@ -273,51 +322,42 @@ def improving_vector(z, blocks, inst):
     certificate.  The move is in the kernel of the stacked matrix and
     feasible at step length one."""
     _check_point(z, inst)
-    cur = inst.value(z)
-    got = _assemble(z, blocks, _Pricing(inst, inst.flatten_objective(), inst.box()), 1)
-    if got is None:
+    p = _Pricing(inst, blocks, inst.flatten_objective(), inst.box())
+    got = _assemble(z, p, p.bases(z), 1)
+    if got is None or got[0] >= 0:
         return None
-    total, v, ws = got
-    if total >= cur:
-        return None
-    if is_zero(v) and all(is_zero(w) for w in ws):
-        return None
-    return TwoStagePoint(v, ws)
+    return TwoStagePoint(got[1], got[2])
 
 
 def greedy_step_twostage(z, blocks, inst):
     """Best assembled move over all step lengths within the box span.
 
     inst is a TwoStageInstance, whose own objective and box price the
-    moves, or the pricing BlockMoves.step makes of the objective and
-    box it is handed.  Step lengths are enumerated 1..max(u - l);
-    candidates are compared by (new value, length, move) so the result
-    is deterministic.  Returns the zero step when nothing strictly
-    improves.
+    moves, or the pricing BlockMoves.step makes of blocks and of the
+    objective and box it is handed.  Step lengths are enumerated
+    1..max(u - l); candidates are compared by (objective change, length,
+    move) so the result is deterministic.  Returns the zero step when
+    nothing strictly improves.
     """
     if isinstance(inst, _Pricing):
         p, inst = inst, inst.inst
     else:
-        p = _Pricing(inst, inst.flatten_objective(), inst.box())
+        p = _Pricing(inst, blocks, inst.flatten_objective(), inst.box())
     _check_point(z, inst)
     cur = evaluate(p.obj, z.flatten())
+    bases = p.bases(z)
     best = None
     for alpha in range(1, p.span + 1):
-        got = _assemble(z, blocks, p, alpha)
-        if got is None:
-            continue
-        total, v, ws = got
-        if total >= cur:
-            continue
-        if is_zero(v) and all(is_zero(w) for w in ws):
-            continue
-        cand = (total, alpha, v + sum(ws, ()))
-        if best is None or cand < best:
-            best = cand
+        got = _assemble(z, p, bases, alpha)
+        if got is not None and got[0] < 0:
+            delta, v, ws = got
+            cand = (delta, alpha, v + sum(ws, ()))
+            if best is None or cand < best:
+                best = cand
     if best is None:
         return GreedyStep((0,) * (inst.m + inst.N * inst.n), 0, cur)
-    total, alpha, flat = best
-    return GreedyStep(flat, alpha, total)
+    delta, alpha, flat = best
+    return GreedyStep(flat, alpha, _norm(cur + delta))
 
 
 class BlockMoves:
@@ -342,7 +382,7 @@ class BlockMoves:
         inst = self.inst
         p = self._pricing
         if p is None or p.obj is not obj or p.box is not box:
-            p = self._pricing = _Pricing(inst, obj, box)
+            p = self._pricing = _Pricing(inst, self.blocks, obj, box)
         point = TwoStagePoint.from_flat(z, inst.m, inst.N, inst.n)
         return greedy_step_twostage(point, self.blocks, p)
 

@@ -143,3 +143,80 @@ def solve_ip_oracle(A, b, lower, upper, f):
         elif v == best:
             argmins.add(z)
     return best, argmins
+
+
+def _dense_value(c, rows, z):
+    return sum(a * x for a, x in zip(c, z)) + sum(f(sum(a * x for a, x in zip(r, z))) for r, f in rows)
+
+
+def _shifted_in_box(point, d, alpha, lower, upper):
+    out = tuple(p + alpha * e for p, e in zip(point, d))
+    return out if all(l <= q <= u for q, l, u in zip(out, lower, upper)) else None
+
+
+def dense_twostage_step(z, first_stage, pool, T, m, n, obj, lower, upper, lengths=None):
+    """Best assembled two-stage move from the flat point z by pricing the
+    whole composite of each stage at every candidate.
+
+    The flat composite obj (with .c and .rows) over (x, y^(1..N)) is split
+    into a first-stage part (costs of x, rows on x alone) and per
+    scenario i a part over (x, y^(i)).  For each first-stage block v
+    (zero included) whose step stays in the box, every scenario picks
+    the partner w from pool(v) (plus zero when T v = 0) with the least
+    (part value, w); candidates compare by (total, v, ws), then over
+    lengths (default 1..max(upper - lower)) by (total, length, move).
+    Returns (direction, steplen, new_value), or None when nothing
+    strictly improves.
+    """
+    N = (len(z) - m) // n
+
+    def block(vec, i):
+        return tuple(vec[m + i * n : m + (i + 1) * n])
+
+    first_rows, parts = [], [[] for _ in range(N)]
+    for r, f in obj.rows:
+        hit = [i for i in range(N) if any(block(r, i))]
+        assert len(hit) <= 1
+        if hit:
+            parts[hit[0]].append((tuple(r[:m]) + block(r, hit[0]), f))
+        else:
+            first_rows.append((tuple(r[:m]), f))
+    costs = [(0,) * m + block(obj.c, i) for i in range(N)]
+    x, ys = tuple(z[:m]), [block(z, i) for i in range(N)]
+    cur = _dense_value(obj.c, obj.rows, z)
+    vs = sorted(set(first_stage) | {(0,) * m})
+    if lengths is None:
+        lengths = range(1, max([0] + [u - l for l, u in zip(lower, upper)]) + 1)
+    best = None
+    for alpha in lengths:
+        top = None
+        for v in vs:
+            x2 = _shifted_in_box(x, v, alpha, lower[:m], upper[:m])
+            if x2 is None:
+                continue
+            ws_pool = tuple(pool(v))
+            if all(s == 0 for s in mul(T, v)) and (0,) * n not in ws_pool:
+                ws_pool += ((0,) * n,)
+            total = _dense_value(obj.c[:m], first_rows, x2)
+            ws = []
+            for i in range(N):
+                pick = None
+                for w in ws_pool:
+                    y2 = _shifted_in_box(ys[i], w, alpha, block(lower, i), block(upper, i))
+                    if y2 is not None:
+                        cand = (_dense_value(costs[i], parts[i], x2 + y2), w)
+                        pick = cand if pick is None or cand < pick else pick
+                if pick is None:
+                    break
+                total += pick[0]
+                ws.append(pick[1])
+            else:
+                cand = (total, v, tuple(ws))
+                top = cand if top is None or cand < top else top
+        if top is not None and top[0] < cur:
+            cand = (top[0], alpha, top[1] + sum(top[2], ()))
+            best = cand if best is None or cand < best else best
+    if best is None:
+        return None
+    total, alpha, move = best
+    return move, alpha, total

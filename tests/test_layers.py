@@ -14,7 +14,7 @@ import graveropt.twostage as twostage
 from graveropt.cli import main
 from graveropt.documents import to_json
 from graveropt.linalg import Mat
-from graveropt.objective import CompositeObjective
+from graveropt.objective import AbsPower, CompositeObjective
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -74,6 +74,26 @@ def test_solve_twostage_steps_through_its_layers(monkeypatch):
     twostage.solve_twostage(inst)
     assert [a[:2] for a in extracted] == [(T, W)]
     assert len(steps) >= 2
+
+
+def test_block_moves_price_on_the_support(monkeypatch):
+    # With a per-coordinate objective, assembled moves are priced on
+    # their support; whole-composite pricing would call evaluate once
+    # per block, scenario and step length, so the count would grow
+    # with N and the box span.
+    calls = _counting(monkeypatch, twostage, "evaluate")
+    T = W = Mat(((1,),))
+    sq = AbsPower(1, 2, 1)
+    obj = CompositeObjective((1, -1), (((1, 0), sq), ((0, 1), sq)))
+    counts = set()
+    for N in (1, 3):
+        for u in (2, 6):
+            inst = twostage.TwoStageInstance(T, W, N, ((u,),) * N, (u,), ((u,),) * N, (obj,) * N)
+            moves = twostage.BlockMoves(twostage.extract_building_blocks(T, W, *inst.rows_CD()), inst)
+            del calls[:]
+            assert not moves.step((u,) + (0,) * N, inst.flatten_objective(), inst.box()).is_zero
+            counts.add(len(calls))
+    assert len(counts) == 1, counts
 
 
 def test_benchmark_solve_docs_outputs_are_correct(tmp_path):

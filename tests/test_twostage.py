@@ -1,7 +1,9 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from _oracles import dense_twostage_step
 
 from graveropt.augment import FeasibleBox, greedy_step, solve_ip_greedy
 from graveropt.bruteforce import first_feasible
@@ -495,3 +497,78 @@ def test_solve_infeasible_iff_no_point_randoms():
         assert infeasible == (first_feasible(inst.box()) is None)
         outcomes.append(infeasible)
     assert 5 < sum(outcomes) < 35
+
+
+def _priced_instance(rng, kind):
+    m, n, N = rng.choice((1, 2)), rng.choice((1, 2)), rng.randint(1, 4)
+    T = Mat((tuple(rng.randint(-1, 1) for _ in range(m)),), cols=m)
+    W = Mat((tuple(rng.randint(-1, 1) for _ in range(n)),), cols=n)
+    ux = tuple(rng.randint(0, 3) for _ in range(m))
+    uy = tuple(tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(N))
+    b = tuple((rng.randint(-2, 3),) for _ in range(N))
+    if kind == "linear":
+        rows = ()
+    elif kind == "per-coordinate":
+        rows = [tuple(int(k == j) for k in range(m + n)) for j in range(m + n) if rng.random() < 0.7]
+    else:  # one row couples x with y
+        rows = [tuple(rng.choice((-1, 1)) for _ in range(m)) + tuple(rng.randint(0, 1) for _ in range(n))]
+
+    def fn():
+        return AbsPower(Fraction(rng.randint(1, 4), rng.randint(1, 3)), rng.randint(1, 2), rng.randint(0, 2))
+
+    objs = tuple(
+        CompositeObjective(tuple(rng.randint(-2, 2) for _ in range(m + n)), tuple((r, fn()) for r in rows))
+        for _ in range(N)
+    )
+    return TwoStageInstance(T, W, N, b, ux, uy, objs)
+
+
+def _dense(z, blocks, inst, obj, box, lengths=None):
+    return dense_twostage_step(
+        z, blocks.first_stage, blocks.pool, inst.T.to_lists(), inst.m, inst.n, obj,
+        box.lower, box.upper, lengths,
+    )
+
+
+def _assert_step_matches(got, want, obj, z):
+    if want is None:
+        assert got.is_zero and got.new_value == evaluate(obj, z)
+    else:
+        assert (got.direction, got.steplen, got.new_value) == want
+
+
+def test_pricing_on_support_matches_dense_pricing():
+    # Moves priced on their support must be the moves whole-composite
+    # pricing picks: same direction, length and value, for the
+    # instance's own objective and box and for phase one's violation
+    # over a widened box.
+    rng = random.Random(56)
+    improving = {"own": 0, "phase one": 0, "vector": 0}
+    for trial in range(90):
+        inst = _priced_instance(rng, ("linear", "per-coordinate", "coupled")[trial % 3])
+        blocks = extract_building_blocks(inst.T, inst.W, *inst.rows_CD(), cap=4)
+        box, obj = inst.box(), inst.flatten_objective()
+        for _ in range(3):
+            z = tuple(rng.randint(l, u) for l, u in zip(box.lower, box.upper))
+            point = TwoStagePoint.from_flat(z, inst.m, inst.N, inst.n)
+            want = _dense(z, blocks, inst, obj, box)
+            _assert_step_matches(greedy_step_twostage(point, blocks, inst), want, obj, z)
+            improving["own"] += want is not None
+            want = _dense(z, blocks, inst, obj, box, lengths=(1,))
+            got = improving_vector(point, blocks, inst)
+            assert got == (None if want is None else TwoStagePoint.from_flat(want[0], inst.m, inst.N, inst.n))
+            improving["vector"] += want is not None
+        z = integer_solution(box.A, box.b)
+        if z is None:
+            continue
+        for g in kernel_basis(box.A):
+            k = rng.randint(-2, 2)
+            z = tuple(a + k * d for a, d in zip(z, g))
+        relaxed = FeasibleBox(
+            box.A, box.b, tuple(map(min, box.lower, z)), tuple(map(max, box.upper, z))
+        )
+        violation = _violation(box)
+        want = _dense(z, blocks, inst, violation, relaxed)
+        _assert_step_matches(BlockMoves(blocks, inst).step(z, violation, relaxed), want, violation, z)
+        improving["phase one"] += want is not None
+    assert min(improving.values()) > 20, improving
