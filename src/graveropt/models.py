@@ -27,7 +27,7 @@ from .errors import (
     InconsistentMargins,
 )
 from .linalg import Mat
-from .nfold import DIRECT_THRESHOLD, NFoldInstance, solve_nfold
+from .nfold import NFoldInstance, solve_nfold
 from .objective import AbsPower, CompositeObjective, ZeroFn
 
 __all__ = [
@@ -519,17 +519,13 @@ def _decode_lowered(spec, inst, q):
     """Solve the instance and exponent that _decode_instance(spec)
     lowered spec to.  Returns (DecodeResult, N-fold optimum): the walk
     starts at the lexicographically first feasible point and sweeps the
-    directly computed test set."""
-    box = inst.box()
-    start = bruteforce.first_feasible(box)
+    test set solve_nfold chooses.  The line-sum pair does not stabilize
+    below the instance's width, so where the lifted walk runs, it stops
+    at that width and returns the directly computed set."""
+    start = bruteforce.first_feasible(inst.box())
     if start is None:
         raise Infeasible("no transmitted array satisfies the checksums and bounds")
-    flat_dim = box.dim
-    z, trace = solve_nfold(
-        inst,
-        z0=start,
-        direct_threshold=max(DIRECT_THRESHOLD, flat_dim),
-    )
+    z, trace = solve_nfold(inst, z0=start)
     n = spec.side
     m = n + 1
     transmitted = tuple(

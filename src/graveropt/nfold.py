@@ -11,6 +11,16 @@ two consecutive N, with a cap), and the test set for any larger N is
 then assembled by embedding the nonzero-block sequences of the small
 basis into N slots in every order-preserving way.
 
+N-fold and two-stage programs (twostage) are one block layout, kept
+here in the private _layout_* functions: columns (x, y^(1), ..., y^(N)),
+coupling rows B (y^(1) + ... + y^(N)) and per-block rows T x + A y^(i),
+where an N-fold program (its blocks x^(i) are the y^(i) here) has no
+x and a two-stage program no coupling rows.  The layout gives both
+kinds their block matrix (built from direct rows), their box
+0 <= z <= u with its empty-box rule, their flat objective, and the
+split of a flat vector into (x, y^(1..N)), each block cut to its first
+n coordinates when a folded pair made it wider.
+
 Composite objectives ride along by folding their shared coefficient
 rows into the block: the pair ([[A,0],[rows,I]], [B 0]) has the same
 shape, and its block matrix is the flat fold of the plain one up to a
@@ -58,20 +68,49 @@ def build_nfold_matrix(A, B, N):
     """[B B ... B] across the top, A block-diagonal below."""
     if A.cols != B.cols:
         raise DimMismatch("A and B must share a column count")
+    return _layout_matrix(N, A, B)
+
+
+def _layout_matrix(N, A, B=None, T=None):
+    """Matrix of the block layout: coupling rows B first, then per block
+    the rows of T on x and A on y^(i).  No B or T means no such rows or
+    no x.  Built from direct rows, so each entry is checked once."""
     if N < 1:
         raise DomainError("N must be at least 1")
-    n = A.cols
-    top = Mat.hstack(*([B] * N))
-    body = []
+    m, n = (0, A.cols) if T is None else (T.cols, A.cols)
+    heads = ((),) * A.rows if T is None else T.data
+    rows = [(0,) * m + r * N for r in (() if B is None else B.data)]
     for i in range(N):
-        parts = []
-        if i:
-            parts.append(Mat.zeros(A.rows, i * n))
-        parts.append(A)
-        if i < N - 1:
-            parts.append(Mat.zeros(A.rows, (N - 1 - i) * n))
-        body.append(Mat.hstack(*parts))
-    return Mat.vstack(top, *body)
+        left, right = (0,) * (i * n), (0,) * ((N - 1 - i) * n)
+        rows.extend(t + left + a + right for t, a in zip(heads, A.data))
+    return Mat(rows, cols=m + N * n)
+
+
+def _layout_box(inst, rhs, upper):
+    """FeasibleBox of inst: its matrix, rhs and 0 <= z <= upper."""
+    if any(u < 0 for u in upper):
+        # the lower bounds are all 0, so the program has no point
+        raise Infeasible("an upper bound is negative: the box is empty")
+    return FeasibleBox(inst.matrix(), rhs, (0,) * len(upper), upper)
+
+
+def _layout_objective(objs, m, n):
+    """Flat objective of the layout: block i's composite acts on x (its
+    first m coordinates, whose costs add up over the blocks) and y^(i)."""
+    x, ys, rows = [0] * m, [], []
+    for i, f in enumerate(objs):
+        x = [a + c for a, c in zip(x, f.c)]
+        ys.extend(f.c[m:])
+        left, right = (0,) * (i * n), (0,) * ((len(objs) - 1 - i) * n)
+        rows.extend((r[:m] + left + r[m:] + right, fn) for r, fn in f.rows)
+    return CompositeObjective(x + ys, rows)
+
+
+def _layout_split(flat, m, N, n, width=None):
+    """(x, (y^(1), ..., y^(N))) of a flat vector of the layout; with
+    blocks width wide (a folded pair), each y^(i) keeps its first n."""
+    w = n if width is None else width
+    return tuple(flat[:m]), tuple(tuple(flat[m + i * w : m + i * w + n]) for i in range(N))
 
 
 @dataclass(frozen=True)
@@ -92,15 +131,11 @@ class BlockVector:
     def from_flat(flat, N, n):
         if len(flat) != N * n:
             raise DimMismatch("flat vector has %d coordinates, expected %d" % (len(flat), N * n))
-        return BlockVector(tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(N)))
-
-
-def _block_split(flat, n):
-    return tuple(tuple(flat[i : i + n]) for i in range(0, len(flat), n))
+        return BlockVector(_layout_split(flat, 0, N, n)[1])
 
 
 def _nonzero_blocks(flat, n):
-    return tuple(b for b in _block_split(flat, n) if not is_zero(b))
+    return tuple(b for b in _layout_split(flat, 0, len(flat) // n, n)[1] if not is_zero(b))
 
 
 @dataclass(frozen=True)
@@ -270,24 +305,10 @@ class NFoldInstance:
         return build_nfold_matrix(self.A, self.B, self.N)
 
     def box(self):
-        flat_b = self.b0 + sum(self.b, ())
-        flat_u = sum(self.upper, ())
-        if any(u < 0 for u in flat_u):
-            # the lower bounds are all 0, so the program has no point
-            raise Infeasible("an upper bound is negative: the box is empty")
-        dim = self.N * self.n
-        return FeasibleBox(self.matrix(), flat_b, (0,) * dim, flat_u)
+        return _layout_box(self, self.b0 + sum(self.b, ()), sum(self.upper, ()))
 
     def flatten_objective(self):
-        n, N = self.n, self.N
-        c = sum((f.c for f in self.objective), ())
-        rows = []
-        for i, f in enumerate(self.objective):
-            pad_l = (0,) * (i * n)
-            pad_r = (0,) * ((N - 1 - i) * n)
-            for r, fn in f.rows:
-                rows.append((pad_l + r + pad_r, fn))
-        return CompositeObjective(c, tuple(rows))
+        return _layout_objective(self.objective, 0, self.n)
 
 
 def _test_set(inst, graver_cap=6, direct_threshold=DIRECT_THRESHOLD):
@@ -325,7 +346,7 @@ def _block_test_set(A, B, N, n, cap, M):
     width = A.cols
     if width == n:
         return G
-    proj = {sum((e[i * width : i * width + n] for i in range(N)), ()) for e in G.elements}
+    proj = {sum(_layout_split(e, 0, N, n, width)[1], ()) for e in G.elements}
     proj.discard((0,) * (N * n))
     return DirectionTable(sorted(proj))
 

@@ -1,7 +1,10 @@
 """Two-stage programs: one shared decision, N scenario corrections.
 
 Constraints are T x + W y^(i) = b^(i) per scenario, with bounds on x
-and each y^(i).  Kernel vectors of the stacked matrix are exactly the
+and each y^(i).  This is nfold's block layout with no coupling rows:
+nfold's _layout_* functions build the matrix, box and flat objective
+and split flat points and test-set elements into (x, y^(1..N)).
+Kernel vectors of the stacked matrix are exactly the
 (v, w_1..w_N) with T v + W w_i = 0 for every i, so test-set elements
 decompose into a first-stage block v and scenario blocks w that pair
 with it.  The pool of distinct blocks stops growing as the scenario
@@ -37,10 +40,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .augment import FeasibleBox, GreedyStep, _per_coordinate, feasible_start, solve_ip_greedy
+from .augment import GreedyStep, _per_coordinate, feasible_start, solve_ip_greedy
 from .errors import DimMismatch, DomainError, Infeasible, NotStabilized
 from .graver import fold_rows, graver, rows_matter
 from .linalg import Mat, is_zero
+from .nfold import _layout_box, _layout_matrix, _layout_objective, _layout_split
 from .objective import CompositeObjective, _norm, evaluate
 
 __all__ = [
@@ -60,14 +64,7 @@ def build_twostage_matrix(T, W, N):
     """T repeated in the first column block, W block-diagonal after it."""
     if T.rows != W.rows:
         raise DimMismatch("T and W must share a row count")
-    if N < 1:
-        raise DomainError("N must be at least 1")
-    n = W.cols
-    rows = []
-    for i in range(N):
-        left, right = (0,) * (i * n), (0,) * ((N - 1 - i) * n)
-        rows.extend(t + left + w + right for t, w in zip(T.data, W.data))
-    return Mat(rows, cols=T.cols + N * n)
+    return _layout_matrix(N, W, T=T)
 
 
 @dataclass(frozen=True)
@@ -86,9 +83,7 @@ class TwoStagePoint:
     def from_flat(flat, m, N, n):
         if len(flat) != m + N * n:
             raise DimMismatch("flat point has %d coordinates, expected %d" % (len(flat), m + N * n))
-        x = tuple(flat[:m])
-        ys = tuple(tuple(flat[m + i * n : m + (i + 1) * n]) for i in range(N))
-        return TwoStagePoint(x, ys)
+        return TwoStagePoint(*_layout_split(flat, m, N, n))
 
 
 @dataclass(frozen=True)
@@ -161,12 +156,9 @@ def _harvest_blocks(T, W, C, D, cap):
     for N in range(1, cap + 1):
         G = graver(build_twostage_matrix(Tc, Wc, N))
         for e in G.elements:
-            v = e[:m]
+            v, ws = _layout_split(e, m, N, n, width)
             first.add(v)
-            bucket = second.setdefault(v, set())
-            for i in range(N):
-                w = e[m + i * width : m + i * width + n]
-                bucket.add(w)
+            second.setdefault(v, set()).update(ws)
         if N == cap - 1:
             prev = snapshot()
     blocks = BuildingBlocks(
@@ -247,27 +239,27 @@ class _Pricing:
 
     def __init__(self, inst, blocks, obj, box):
         def split(v):
-            return TwoStagePoint.from_flat(v, inst.m, inst.N, inst.n)
+            return _layout_split(v, inst.m, inst.N, inst.n)
 
         first = []
         parts = [[] for _ in range(inst.N)]
         for r, f in obj.rows:
-            r = split(r)
-            hit = [i for i, y in enumerate(r.ys) if any(y)]
+            x, ys = split(r)
+            hit = [i for i, y in enumerate(ys) if any(y)]
             if len(hit) > 1:
                 raise DomainError("an objective row couples two scenarios")
             if hit:
-                parts[hit[0]].append((r.x + r.ys[hit[0]], f))
+                parts[hit[0]].append((x + ys[hit[0]], f))
             else:
-                first.append((r.x, f))
-        c = split(obj.c)
+                first.append((x, f))
+        cx, cys = split(obj.c)
         self.inst, self.obj, self.box = inst, obj, box
-        self.first = CompositeObjective(c.x, first)
-        self.parts = tuple(CompositeObjective((0,) * inst.m + y, p) for y, p in zip(c.ys, parts))
+        self.first = CompositeObjective(cx, first)
+        self.parts = tuple(CompositeObjective((0,) * inst.m + y, p) for y, p in zip(cys, parts))
         self.splits = (_split(self.first, 0),) + tuple(_split(f, inst.m) for f in self.parts)
         vs = sorted(set(blocks.first_stage) | {(0,) * inst.m})
         self.candidates = tuple((v, _scenario_candidates(inst, blocks, v)) for v in vs)
-        self.lower, self.upper = split(box.lower), split(box.upper)
+        self.lower, self.upper = TwoStagePoint(*split(box.lower)), TwoStagePoint(*split(box.upper))
         self.span = max([0] + [u - l for l, u in zip(box.lower, box.upper)])
 
     def bases(self, z):
@@ -455,32 +447,10 @@ class TwoStageInstance:
         return build_twostage_matrix(self.T, self.W, self.N)
 
     def box(self):
-        flat_b = sum(self.b, ())
-        flat_u = self.ux + sum(self.uy, ())
-        if any(u < 0 for u in flat_u):
-            # the lower bounds are all 0, so the program has no point
-            raise Infeasible("an upper bound is negative: the box is empty")
-        dim = self.m + self.N * self.n
-        return FeasibleBox(self.matrix(), flat_b, (0,) * dim, flat_u)
+        return _layout_box(self, sum(self.b, ()), self.ux + sum(self.uy, ()))
 
     def flatten_objective(self):
-        m, n, N = self.m, self.n, self.N
-        dim = m + N * n
-        c = [0] * dim
-        rows = []
-        for i, f in enumerate(self.objective):
-            for k in range(m):
-                c[k] += f.c[k]
-            for k in range(n):
-                c[m + i * n + k] += f.c[m + k]
-            for r, fn in f.rows:
-                row = [0] * dim
-                for k in range(m):
-                    row[k] = r[k]
-                for k in range(n):
-                    row[m + i * n + k] = r[m + k]
-                rows.append((tuple(row), fn))
-        return CompositeObjective(tuple(c), tuple(rows))
+        return _layout_objective(self.objective, self.m, self.n)
 
     def value(self, z):
         return sum(evaluate(f, z.x + y) for f, y in zip(self.objective, z.ys))

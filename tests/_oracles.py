@@ -220,3 +220,55 @@ def dense_twostage_step(z, first_stage, pool, T, m, n, obj, lower, upper, length
         return None
     total, alpha, move = best
     return move, alpha, total
+
+
+def _layout_col(m, n, i, j):
+    """Flat column of coordinate j of a block composite over (x, y):
+    x's own column for j < m, else column j - m of block i."""
+    return j if j < m else m + i * n + (j - m)
+
+
+def layout_matrix(T, A, B, m, n, N):
+    """Block matrix over (x, y^(1), ..., y^(N)) as plain lists: each
+    coupling row of B on every block, then per block i the rows of T on
+    x with A on y^(i).  T holds one row of m entries per row of A."""
+    rows = []
+    for b in B:
+        row = [0] * (m + N * n)
+        for i in range(N):
+            for j in range(n):
+                row[_layout_col(m, n, i, m + j)] = b[j]
+        rows.append(row)
+    for i in range(N):
+        for t, a in zip(T, A):
+            row = [0] * (m + N * n)
+            for j, e in enumerate(list(t) + list(a)):
+                row[_layout_col(m, n, i, j)] = e
+            rows.append(row)
+    return rows
+
+
+def layout_box(rhs0, rhs, ux, uy):
+    """(right-hand side, lower, upper) of the block layout as lists, or
+    None when an upper bound is negative (the box is empty)."""
+    upper = list(ux) + [u for block in uy for u in block]
+    if min(upper, default=0) < 0:
+        return None
+    return list(rhs0) + [b for block in rhs for b in block], [0] * len(upper), upper
+
+
+def layout_objective(objs, m, n):
+    """(costs, rows) of the flat objective of per-block composites, each
+    given as (costs, rows) over (x, y): block i acts on x and y^(i)."""
+    N = len(objs)
+    c = [0] * (m + N * n)
+    rows = []
+    for i, (ci, ri) in enumerate(objs):
+        for j, e in enumerate(ci):
+            c[_layout_col(m, n, i, j)] += e
+        for r, f in ri:
+            row = [0] * (m + N * n)
+            for j, e in enumerate(r):
+                row[_layout_col(m, n, i, j)] = e
+            rows.append((row, f))
+    return c, rows

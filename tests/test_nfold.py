@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from _oracles import layout_box, layout_matrix, layout_objective
 
 import graveropt.nfold as nfold
 from graveropt.augment import FeasibleBox, solve_ip_greedy
@@ -20,6 +21,7 @@ from graveropt.nfold import (
     solve_nfold,
 )
 from graveropt.objective import AbsPower, CompositeObjective, evaluate
+from graveropt.twostage import TwoStageInstance, TwoStagePoint, build_twostage_matrix
 
 SQ = AbsPower(1, 2)
 
@@ -418,3 +420,72 @@ def test_lifted_solve_matches_direct(monkeypatch, rows):
     assert lifted_point == point
     assert lifted_trace == trace
     assert len(trace) > 0
+
+
+def _layout_case(rng, m):
+    """A random N-fold (m = 0) or two-stage instance of the block layout
+    with its plain-list data."""
+    n, N = rng.randint(1, 3), rng.randint(1, 4)
+    coupling = rng.randint(0, 2) if m == 0 else 0
+    block_rows = rng.randint(0, 2)
+
+    def rows(k, w, lo=-2, hi=2):
+        return [[rng.randint(lo, hi) for _ in range(w)] for _ in range(k)]
+
+    T, A, B = rows(block_rows, m), rows(block_rows, n), rows(coupling, n)
+    rhs0 = [rng.randint(-3, 3) for _ in range(coupling)]
+    rhs = rows(N, block_rows)
+    ux, uy = [rng.randint(0, 3) for _ in range(m)], rows(N, n, 0, 3)
+    if rng.random() < 0.2:
+        (uy[rng.randrange(N)] if rng.random() < 0.5 or not m else ux)[0] = -1
+    shared = rows(rng.randint(1, 2), m + n) if rng.random() < 0.6 else []
+    objs = [(rows(1, m + n, -3, 3)[0], [(r, AbsPower(1, 2)) for r in shared]) for _ in range(N)]
+    mats = [Mat(x, cols=w) for x, w in ((T, m), (A, n), (B, n))]
+    composites = tuple(CompositeObjective(tuple(c), tuple((tuple(r), f) for r, f in rs)) for c, rs in objs)
+    if m == 0:
+        inst = NFoldInstance(mats[1], mats[2], N, rhs0, rhs, uy, composites)
+        built = build_nfold_matrix(mats[1], mats[2], N)
+    else:
+        inst = TwoStageInstance(mats[0], mats[1], N, rhs, ux, uy, composites)
+        built = build_twostage_matrix(mats[0], mats[1], N)
+    return inst, built, (T, A, B, rhs0, rhs, ux, uy, objs, n, N)
+
+
+def test_block_layout_matches_plain_list_oracle():
+    # Both block kinds share one layout: matrix, box, flat objective and
+    # point split must equal a plain-list construction entry for entry.
+    rng = random.Random(57)
+    seen = {"box": 0, "empty box": 0, "rows": 0, "coupling": 0, "two-stage": 0}
+    for trial in range(150):
+        m = trial % 3
+        inst, built, (T, A, B, rhs0, rhs, ux, uy, objs, n, N) = _layout_case(rng, m)
+        dim = m + N * n
+        want = layout_matrix(T if m else [[]] * len(A), A, B, m, n, N)
+        for M in (built, inst.matrix()):
+            assert (M.to_lists(), M.cols) == (want, dim)
+        box = layout_box(rhs0, rhs, ux, uy)
+        if box is None:
+            with pytest.raises(Infeasible, match="an upper bound is negative: the box is empty"):
+                inst.box()
+            seen["empty box"] += 1
+        else:
+            got = inst.box()
+            assert (got.A.to_lists(), list(got.b), list(got.lower), list(got.upper)) == (want,) + box
+            seen["box"] += 1
+        c, rows = layout_objective(objs, m, n)
+        flat = inst.flatten_objective()
+        assert list(flat.c) == c
+        assert [list(r) for r, _ in flat.rows] == [r for r, _ in rows]
+        assert all(f is g for (_, f), (_, g) in zip(flat.rows, rows))
+        z = tuple(rng.randint(-5, 5) for _ in range(dim))
+        blocks = [z[m + i * n : m + (i + 1) * n] for i in range(N)]
+        if m == 0:
+            v = BlockVector.from_flat(z, N, n)
+            assert list(v.blocks) == blocks and v.flatten() == z
+        else:
+            p = TwoStagePoint.from_flat(z, m, N, n)
+            assert (p.x, list(p.ys)) == (z[:m], blocks) and p.flatten() == z
+        seen["rows"] += bool(rows)
+        seen["coupling"] += len(B) > 0
+        seen["two-stage"] += m > 0
+    assert min(seen.values()) > 15, seen
