@@ -5,10 +5,12 @@ conformal test sets: sign checks, conformal comparison, and reduction of
 a vector against a pool of reducers.  A compiled twin lives in
 _speedups.pyx; graveropt.kernels picks one at import time.  The scalar
 kernels agree with the twin value for value.  complete() does not: this
-twin finds reducers through per-coordinate bitsets while the compiled
-one scans them in norm order, so the intermediate pools differ, but
-minimal_elements of either pool is the same test set.  Vectors are plain
-tuples of Python ints, so every kernel is exact at any magnitude.
+twin queues one pair per +- class and finds reducers through
+per-coordinate bitsets, while the compiled one queues every
+sign-incompatible pair, mirror pairs included, and scans reducers in
+norm order.  So the intermediate pools differ, but minimal_elements of
+either pool is the same test set.  Vectors are plain tuples of Python
+ints, so every kernel is exact at any magnitude.
 """
 
 from functools import reduce as _fold
@@ -143,70 +145,97 @@ class _Fits(dict):
 def complete(generators):
     """Close a kernel lattice basis under conformal summation (Pottier).
 
-    Seeds the pool with both signs of every generator, then works
-    through sign-incompatible pairs in ascending order of combined l1
-    norm.  Each pair sum is reduced against the pool; an irreducible
-    nonzero remainder joins the pool with its negative.  Returns the
-    full pool, which still contains non-minimal elements; callers
-    filter with minimal_elements.
+    The pool holds both signs of every element it keeps.  Negation maps
+    the kernel lattice and the conformal order onto themselves, so the
+    pair (x, y) and its mirror (-x, -y) are one piece of work: the
+    mirror's sum is -(x + y), and the negations of the reducers that
+    take x + y to its remainder take -(x + y) to the negated remainder,
+    which joins the pool alongside.  So only one pair per +- class is
+    queued, when the first vector of a +- pair joins; its negation
+    joins without queuing anything.  Pairs that already lie in a common
+    orthant reduce to zero and are never queued.
+
+    Pairs are worked through in ascending order of combined l1 norm:
+    a heap holds the distinct norm sums, and each sum a bucket of
+    entries (j, partners), one per joining element j and partner norm,
+    whose partners are a bitset over pool indices.  Each pair sum is
+    reduced against the pool; an irreducible nonzero remainder joins
+    the pool with its negative.  Returns the full pool, closed under
+    negation and free of duplicates, which may still contain
+    non-minimal elements; callers filter with minimal_elements.
 
     Reducers are found through bitsets over pool indices instead of a
     scan: the AND over the coordinates of s of the per-coordinate
     _Fits masks marks exactly the pool elements that conform to s, and
     the latest-added of them is subtracted.  Which applicable reducer
-    is taken changes the intermediate pool, never the minimal elements:
-    any conformal reduction keeps the completion's closure property,
-    and the conformally minimal kernel elements are unique.
+    is taken, and the order of pairs within one norm, change the
+    intermediate pool, never the minimal elements: any conformal
+    reduction keeps the completion's closure property, and the
+    conformally minimal kernel elements are unique.
     """
     gens = [tuple(g) for g in generators]
     if not gens:
         return []
     n = len(gens[0])
     pool = []
-    norms = []
     seen = set()
     # pos[i] / neg[i]: pool indices whose coordinate i is > 0 / < 0
     pos = [0] * n
     neg = [0] * n
     fits = [_Fits(pool, i) for i in range(n)]
-    heap = []
+    # by_norm: pool indices per l1 norm; sums / buckets: pending pairs
+    by_norm = {}
+    sums = []
+    buckets = {}
 
-    def add(v):
-        idx = len(pool)
-        bit = 1 << idx
-        nv = l1(v)
-        seen.add(v)
-        pool.append(v)
-        norms.append(nv)
+    def join(v):
         opposite = 0
         for i, a in enumerate(v):
             if a > 0:
                 opposite |= neg[i]
-                pos[i] |= bit
             elif a < 0:
                 opposite |= pos[i]
-                neg[i] |= bit
-            fits[i].note(a, bit)
-        # sign-compatible pairs reduce to zero; never queue them
-        while opposite:
-            t = opposite.bit_length() - 1
-            opposite ^= 1 << t
-            heappush(heap, (norms[t] + nv, t, idx))
+        j = len(pool)
+        nv = l1(v)
+        for nt, partners in by_norm.items():
+            partners &= opposite
+            if partners:
+                key = nt + nv
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = bucket = []
+                    heappush(sums, key)
+                bucket.append((j, partners))
+        # v joins at j and -v at j + 1, after the queuing above, so the
+        # pair (v, -v), whose sum is zero, is never queued
+        by_norm[nv] = by_norm.get(nv, 0) | (3 << j)
+        for w in (v, vec_neg(v)):
+            bit = 1 << len(pool)
+            seen.add(w)
+            pool.append(w)
+            for i, a in enumerate(w):
+                if a > 0:
+                    pos[i] |= bit
+                elif a < 0:
+                    neg[i] |= bit
+                fits[i].note(a, bit)
 
     for b in gens:
-        for v in (b, vec_neg(b)):
-            if v not in seen and any(v):
-                add(v)
-    while heap:
-        _, i, j = heappop(heap)
-        s = tuple(map(_add, pool[i], pool[j]))
-        while any(s) and s not in seen:
-            mask = _fold(_and, map(_getitem, fits, s))
-            if not mask:
-                add(s)
-                add(vec_neg(s))
-                break
-            s = tuple(map(_sub, s, pool[mask.bit_length() - 1]))
+        if b not in seen and any(b):
+            join(b)
+    while sums:
+        for j, partners in buckets.pop(heappop(sums)):
+            x = pool[j]
+            while partners:
+                i = partners.bit_length() - 1
+                partners ^= 1 << i
+                s = tuple(map(_add, pool[i], x))
+                while any(s) and s not in seen:
+                    mask = _fold(_and, map(_getitem, fits, s))
+                    if not mask:
+                        join(s)
+                        break
+                    s = tuple(map(_sub, s, pool[mask.bit_length() - 1]))
     return pool
 
 

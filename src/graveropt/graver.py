@@ -5,12 +5,15 @@ integer kernel vectors that cannot be written as u + w with u, w nonzero
 kernel vectors lying in the same closed orthant (conformal minimality).
 Circuits are the primitive kernel vectors of support-minimal support.
 
-The test set is computed by a completion procedure: start from a lattice
-basis of ker(A) and its negations, repeatedly form pairwise sums, reduce
-each sum to a normal form by conformal subtraction, and keep the nonzero
-normal forms until no pair produces anything new.  A final filter keeps
-the conformally minimal elements.  Pairs that already lie in a common
-orthant reduce to zero and are skipped up front.
+The test set is computed by a completion procedure over the quotient by
+negation: the pool holds a lattice basis of ker(A) and every later
+element together with its negation, but each pair sum is formed once per
++- class, since the mirror pair (-x, -y) sums to -(x + y) and reduces to
+the negated normal form.  Each sum is reduced to a normal form by
+conformal subtraction, and nonzero normal forms join the pool with their
+negations until no pair produces anything new.  A final filter keeps the
+conformally minimal elements.  Pairs that already lie in a common orthant
+reduce to zero and are skipped up front.
 
 Everything is exact; element coordinates are unbounded Python ints.
 """

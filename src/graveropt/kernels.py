@@ -3,12 +3,13 @@
 The compiled extension (graveropt._speedups) is used when it imported
 cleanly and GRAVER_OPT_PURE is unset; otherwise the pure-Python twin.
 Both expose the functions the package calls.  The scalar kernels give
-identical results.  complete() picks reducers differently in the two
-twins, so the intermediate pools it returns may differ; minimal_elements
-of either pool is the same test set, which is all that callers use, so
-test sets differ only in the time they take.  use() swaps the active
-backend at runtime, which the benchmark and the twin-equality tests
-rely on.
+identical results.  complete() queues pairs and picks reducers
+differently in the two twins: the pure one forms each pair sum once per
++- class.  So the intermediate pools it returns may differ, but both are
+closed under negation and minimal_elements of either pool is the same
+test set, which is all that callers use; test sets differ only in the
+time they take.  use() swaps the active backend at runtime, which the
+benchmark and the twin-equality tests rely on.
 """
 
 import os

@@ -272,3 +272,41 @@ def layout_objective(objs, m, n):
                 row[_layout_col(m, n, i, j)] = e
             rows.append((row, f))
     return c, rows
+
+
+def _below(g, v):
+    """g lies in v's closed orthant with |g| <= |v| entrywise."""
+    return all(a == 0 or (0 < a <= b) or (b <= a < 0) for a, b in zip(g, v))
+
+
+def pottier_reference(basis):
+    """Conformally minimal elements of the lattice spanned by basis, by
+    textbook Pottier completion: seed with both signs of every basis
+    vector, sum every sign-incompatible pair (mirror pairs included),
+    reduce each sum to normal form by linear scan, and add nonzero
+    remainders until every pair reduces to zero.  Returned sorted."""
+    G = []
+    for b in basis:
+        for v in (tuple(b), tuple(-x for x in b)):
+            if any(v) and v not in G:
+                G.append(v)
+
+    def fights(u, v):
+        return any(a * b < 0 for a, b in zip(u, v))
+
+    pairs = [(u, v) for k, v in enumerate(G) for u in G[:k] if fights(u, v)]
+    # the loop also visits the pairs appended while it runs
+    for u, v in pairs:
+        s = tuple(a + b for a, b in zip(u, v))
+        reduced = True
+        while reduced and any(s):
+            reduced = False
+            for g in G:
+                if _below(g, s):
+                    s = tuple(a - b for a, b in zip(s, g))
+                    reduced = True
+                    break
+        if any(s):
+            pairs.extend([(g, s) for g in G if fights(g, s)])
+            G.append(s)
+    return sorted(v for v in G if not any(g != v and _below(g, v) for g in G))

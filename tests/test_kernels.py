@@ -8,16 +8,19 @@ import sys
 
 import pytest
 
-from graveropt import kernels
+from graveropt import _kernels_py, kernels
 from graveropt._kernels_py import l1
 from graveropt.linalg import Mat, kernel_basis
+from graveropt.nfold import build_nfold_matrix
+
+from _oracles import pottier_reference
 
 cython_missing = "cython" not in kernels.available()
 
 
-def _random_matrix(rng, n_max=4):
-    m = rng.randint(1, 2)
-    n = rng.randint(2, n_max)
+def _random_matrix(rng, n_max=4, m_max=2, n_min=2):
+    m = rng.randint(1, m_max)
+    n = rng.randint(n_min, n_max)
     return Mat(tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(m)))
 
 
@@ -97,6 +100,42 @@ def test_completion_survives_huge_seed_entries():
     a = sorted(_speedups.minimal_elements(_speedups.complete(gens)))
     b = sorted(_kernels_py.minimal_elements(_kernels_py.complete(gens)))
     assert a == b
+
+
+def test_pure_completion_matches_textbook_pottier():
+    rng = random.Random(18)
+    for _ in range(100):
+        A = _random_matrix(rng, n_max=6, m_max=3, n_min=3)
+        gens = kernel_basis(A)
+        pool = _kernels_py.complete(gens)
+        assert len(set(pool)) == len(pool), A.data
+        assert {_kernels_py.vec_neg(v) for v in pool} == set(pool), A.data
+        assert sorted(_kernels_py.minimal_elements(pool)) == pottier_reference(gens), A.data
+
+
+def test_completion_forms_one_sum_per_mirror_pair(monkeypatch):
+    # 3x3 line sums at N = 2, the small line-sum case of
+    # benchmarks/bench_kernels.py.  Every pair sum is formed as
+    # map(_add, u, v); record the pairs through the module's map and
+    # check that no pair is formed along with its mirror (-u, -v).
+    formed = []
+
+    def recording_map(f, *args):
+        if f is _kernels_py._add:
+            formed.append(frozenset(args))
+        return map(f, *args)
+
+    monkeypatch.setattr(_kernels_py, "map", recording_map, raising=False)
+    rows = [tuple(int(j // 3 == i) for j in range(9)) for i in range(3)]
+    rows += [tuple(int(k % 3 == j) for k in range(9)) for j in range(3)]
+    A = build_nfold_matrix(Mat(tuple(rows)), Mat.identity(9), 2)
+    pool = _kernels_py.complete(kernel_basis(A))
+    assert len(_kernels_py.minimal_elements(pool)) == 30
+    assert len(formed) > 100
+    once = set(formed)
+    assert len(once) == len(formed)
+    for pair in formed:
+        assert frozenset(map(_kernels_py.vec_neg, pair)) not in once, sorted(pair)
 
 
 def test_minimal_elements_drops_conformal_sums():
