@@ -5,17 +5,19 @@ conformal test sets: sign checks, conformal comparison, and reduction of
 a vector against a pool of reducers.  A compiled twin lives in
 _speedups.pyx; graveropt.kernels picks one at import time.  The scalar
 kernels agree with the twin value for value.  complete() does not: this
-twin queues one pair per +- class and finds reducers through
-per-coordinate bitsets, while the compiled one queues every
-sign-incompatible pair, mirror pairs included, and scans reducers in
-norm order.  So the intermediate pools differ, but minimal_elements of
-either pool is the same test set.  Vectors are plain tuples of Python
-ints, so every kernel is exact at any magnitude.
+twin queues one pair per orbit, under negation and under an optional
+group of column permutations that the caller knows to be symmetries
+(the block swaps of an N-fold or two-stage layout), and finds reducers
+through per-coordinate bitsets.  The compiled one takes no group,
+queues every sign-incompatible pair, mirror pairs included, and scans
+reducers in norm order.  So the intermediate pools differ, but
+minimal_elements of either pool is the same test set.  Vectors are
+plain tuples of Python ints, so every kernel is exact at any magnitude.
 """
 
 from functools import reduce as _fold
 from heapq import heappop, heappush
-from operator import add as _add, and_ as _and, getitem as _getitem, sub as _sub
+from operator import add as _add, and_ as _and, getitem as _getitem, itemgetter, sub as _sub
 
 BACKEND = "python"
 
@@ -142,26 +144,35 @@ class _Fits(dict):
                 self[x] = mask | bit
 
 
-def complete(generators):
+def complete(generators, group=()):
     """Close a kernel lattice basis under conformal summation (Pottier).
 
-    The pool holds both signs of every element it keeps.  Negation maps
-    the kernel lattice and the conformal order onto themselves, so the
-    pair (x, y) and its mirror (-x, -y) are one piece of work: the
-    mirror's sum is -(x + y), and the negations of the reducers that
-    take x + y to its remainder take -(x + y) to the negated remainder,
-    which joins the pool alongside.  So only one pair per +- class is
-    queued, when the first vector of a +- pair joins; its negation
-    joins without queuing anything.  Pairs that already lie in a common
-    orthant reduce to zero and are never queued.
+    group is a tuple of column permutations that map the kernel lattice
+    onto itself; a permutation p acts on v as (v[p[0]], ..., v[p[n-1]]).
+    Negation is always such a symmetry.  Every symmetry also preserves
+    the conformal order, so the pool is kept closed under the group they
+    generate: an irreducible remainder joins together with its whole
+    orbit under the permutations and negation, and is that orbit's
+    representative.  Only pairs (representative, pool element) are
+    queued, when the orbit joins, with every element already in the
+    pool or in the orbit itself.  Each pair of pool elements is the
+    image of such a pair under some symmetry s, and the images under s
+    of the reducers that take the queued sum to its normal form take
+    the other sum to the image of that normal form, which is in the
+    pool as well.  So the completion criterion holds for every pair
+    and the minimal elements are those of plain completion.  With no
+    group an orbit is v and -v: one pair per +- class is queued, when
+    v joins, and the pair (v, -v), whose sum is zero, is never queued.
+    Pairs that already lie in a common orthant reduce to zero and are
+    never queued either.
 
     Pairs are worked through in ascending order of combined l1 norm:
     a heap holds the distinct norm sums, and each sum a bucket of
-    entries (j, partners), one per joining element j and partner norm,
+    entries (j, partners), one per representative j and partner norm,
     whose partners are a bitset over pool indices.  Each pair sum is
     reduced against the pool; an irreducible nonzero remainder joins
-    the pool with its negative.  Returns the full pool, closed under
-    negation and free of duplicates, which may still contain
+    the pool with its orbit.  Returns the full pool, closed under the
+    group and negation and free of duplicates, which may still contain
     non-minimal elements; callers filter with minimal_elements.
 
     Reducers are found through bitsets over pool indices instead of a
@@ -177,6 +188,9 @@ def complete(generators):
     if not gens:
         return []
     n = len(gens[0])
+    # identities move nothing; dropping them also keeps every itemgetter
+    # below at two or more columns, where it returns a tuple
+    moves = [itemgetter(*p) for p in group if tuple(p) != tuple(range(n))]
     pool = []
     seen = set()
     # pos[i] / neg[i]: pool indices whose coordinate i is > 0 / < 0
@@ -189,27 +203,18 @@ def complete(generators):
     buckets = {}
 
     def join(v):
-        opposite = 0
-        for i, a in enumerate(v):
-            if a > 0:
-                opposite |= neg[i]
-            elif a < 0:
-                opposite |= pos[i]
+        # v joins at j and -v at j + 1, then the rest of v's orbit
+        orbit = [v, vec_neg(v)]
+        if moves:
+            known = set(orbit)
+            for w in orbit:
+                for move in moves:
+                    u = move(w)
+                    if u not in known:
+                        known.add(u)
+                        orbit.append(u)
         j = len(pool)
-        nv = l1(v)
-        for nt, partners in by_norm.items():
-            partners &= opposite
-            if partners:
-                key = nt + nv
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = bucket = []
-                    heappush(sums, key)
-                bucket.append((j, partners))
-        # v joins at j and -v at j + 1, after the queuing above, so the
-        # pair (v, -v), whose sum is zero, is never queued
-        by_norm[nv] = by_norm.get(nv, 0) | (3 << j)
-        for w in (v, vec_neg(v)):
+        for w in orbit:
             bit = 1 << len(pool)
             seen.add(w)
             pool.append(w)
@@ -219,6 +224,25 @@ def complete(generators):
                 elif a < 0:
                     neg[i] |= bit
                 fits[i].note(a, bit)
+        nv = l1(v)
+        by_norm[nv] = by_norm.get(nv, 0) | (((1 << len(orbit)) - 1) << j)
+        opposite = 0
+        for i, a in enumerate(v):
+            if a > 0:
+                opposite |= neg[i]
+            elif a < 0:
+                opposite |= pos[i]
+        # -v is opposite to v wherever v is nonzero; their sum is zero
+        opposite ^= 2 << j
+        for nt, partners in by_norm.items():
+            partners &= opposite
+            if partners:
+                key = nt + nv
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = bucket = []
+                    heappush(sums, key)
+                bucket.append((j, partners))
 
     for b in gens:
         if b not in seen and any(b):

@@ -13,7 +13,10 @@ the negated normal form.  Each sum is reduced to a normal form by
 conformal subtraction, and nonzero normal forms join the pool with their
 negations until no pair produces anything new.  A final filter keeps the
 conformally minimal elements.  Pairs that already lie in a common orthant
-reduce to zero and are skipped up front.
+reduce to zero and are skipped up front.  Where the caller knows column
+permutations that map the kernel onto itself (the block swaps of an
+N-fold or two-stage layout), graver takes them as a group: the pool
+then grows by whole orbits, and each pair sum is formed once per orbit.
 
 Everything is exact; element coordinates are unbounded Python ints.
 """
@@ -22,9 +25,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from . import kernels
+from . import _kernels_py, kernels
 from .augment import DirectionTable
-from .errors import BoundExceeded, DimMismatch, NotInKernel
+from .errors import BoundExceeded, DimMismatch, DomainError, NotInKernel
 from .linalg import Mat, conforms, is_zero, kernel_basis, primitive_part, vec_neg
 
 __all__ = ["CircuitSet", "GraverBasis", "Decomposition", "circuits", "graver", "graver_composite", "decompose"]
@@ -110,18 +113,37 @@ class Decomposition:
         return tuple(acc)
 
 
-def _graver_elements(A):
+def _graver_elements(A, group=()):
+    n = A.cols
+    for p in group:
+        if sorted(p) != list(range(n)):
+            raise DomainError("a symmetry must permute the %d columns, got %r" % (n, tuple(p)))
     basis = kernel_basis(A)
     if not basis:
         return ()
-    k = kernels.active
-    pool = k.complete(basis)
-    return tuple(sorted(k.minimal_elements(pool)))
+    for p in group:
+        if any(any(A.mul_vec(tuple(b[i] for i in p))) for b in basis):
+            raise DomainError("column permutation %r does not map the kernel onto itself" % (tuple(p),))
+    if group:
+        # the compiled twin takes no group, so grouped completions run pure
+        pool = _kernels_py.complete(basis, group)
+    else:
+        pool = kernels.active.complete(basis)
+    return tuple(sorted(kernels.active.minimal_elements(pool)))
 
 
-def graver(A):
-    """Conformal test set of A (closed under negation, canonical order)."""
-    return GraverBasis(A, _graver_elements(A))
+def graver(A, group=()):
+    """Conformal test set of A (closed under negation, canonical order).
+
+    group, a tuple of column permutations that map the kernel of A onto
+    itself (p acts on v as (v[p[0]], ..., v[p[n-1]])), lets the
+    completion form each pair sum once per orbit under the group they
+    generate; the test set is the same.  The caller takes the group
+    from a known structure, such as nfold's block layout; each
+    permutation is checked on a kernel lattice basis, and DomainError
+    names the first that fails.
+    """
+    return GraverBasis(A, _graver_elements(A, group))
 
 
 def fold_rows(A, C):

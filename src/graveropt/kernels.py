@@ -5,7 +5,9 @@ cleanly and GRAVER_OPT_PURE is unset; otherwise the pure-Python twin.
 Both expose the functions the package calls.  The scalar kernels give
 identical results.  complete() queues pairs and picks reducers
 differently in the two twins: the pure one forms each pair sum once per
-+- class.  So the intermediate pools it returns may differ, but both are
++- class, or once per orbit of a group of column symmetries that it
+alone accepts (graver.graver sends every grouped completion to the pure
+twin).  So the intermediate pools it returns may differ, but both are
 closed under negation and minimal_elements of either pool is the same
 test set, which is all that callers use; test sets differ only in the
 time they take.  use() swaps the active backend at runtime, which the

@@ -483,6 +483,14 @@ def _decode_margins(side, u, U):
     return build_3way_linesum(m, m, m, allU, allU, allU, caps)
 
 
+@lru_cache(maxsize=8)
+def _decode_start(side, u, U):
+    """Lexicographically first feasible point of the box of
+    _decode_margins(side, u, U), or None.  The objective does not touch
+    the box, so every decode with these parameters starts there."""
+    return bruteforce.first_feasible(_decode_margins(side, u, U).box())
+
+
 def _decode_instance(spec):
     m = spec.side + 1
     coords = set(spec.coordinates())
@@ -522,7 +530,7 @@ def _decode_lowered(spec, inst, q):
     test set solve_nfold chooses.  The line-sum pair does not stabilize
     below the instance's width, so where the lifted walk runs, it stops
     at that width and returns the directly computed set."""
-    start = bruteforce.first_feasible(inst.box())
+    start = _decode_start(spec.side, spec.u, spec.U)
     if start is None:
         raise Infeasible("no transmitted array satisfies the checksums and bounds")
     z, trace = solve_nfold(inst, z0=start)

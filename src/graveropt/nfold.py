@@ -19,7 +19,11 @@ x and a two-stage program no coupling rows.  The layout gives both
 kinds their block matrix (built from direct rows), their box
 0 <= z <= u with its empty-box rule, their flat objective, and the
 split of a flat vector into (x, y^(1..N)), each block cut to its first
-n coordinates when a folded pair made it wider.
+n coordinates when a folded pair made it wider.  Permuting the blocks
+y^(i), with x fixed, maps the kernel of every layout matrix onto
+itself; _layout_group gives that group as its adjacent-block swaps,
+and every block test set (direct, in the lifted walk, or the two-stage
+harvest) is completed under it, forming each pair sum once per orbit.
 
 Composite objectives ride along by folding their shared coefficient
 rows into the block: the pair ([[A,0],[rows,I]], [B 0]) has the same
@@ -113,6 +117,20 @@ def _layout_split(flat, m, N, n, width=None):
     return tuple(flat[:m]), tuple(tuple(flat[m + i * w : m + i * w + n]) for i in range(N))
 
 
+def _layout_group(m, N, w):
+    """Column permutations that swap the adjacent blocks y^(i), y^(i+1)
+    of the layout, blocks w wide, with x fixed: generators of the group
+    of block permutations, which maps the kernel of the layout's
+    matrix onto itself.  No generator when N is 1."""
+    out = []
+    for i in range(N - 1):
+        p = list(range(m + N * w))
+        a, b, c = m + i * w, m + (i + 1) * w, m + (i + 2) * w
+        p[a:c] = p[b:c] + p[a:b]
+        out.append(tuple(p))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class BlockVector:
     blocks: tuple
@@ -190,7 +208,7 @@ def _walk(A, B, cap, width=None):
 
     def basis_at(N):
         if N not in bases:
-            bases[N] = graver(build_nfold_matrix(A, B, N))
+            bases[N] = graver(build_nfold_matrix(A, B, N), _layout_group(0, N, A.cols))
         return bases[N].elements
 
     if not basis_at(1) and width != 1 and not basis_at(2):
@@ -338,7 +356,7 @@ def _block_test_set(A, B, N, n, cap, M):
     nonzero, deduplicated and sorted, in one table so that phase one
     and the solve share its bitsets."""
     if cap is None:
-        G = graver(build_nfold_matrix(A, B, N) if M is None else M)
+        G = graver(build_nfold_matrix(A, B, N) if M is None else M, _layout_group(0, N, A.cols))
     else:
         G = _walk(A, B, cap, N)
         if isinstance(G, LiftedGraver):

@@ -9,11 +9,13 @@ Kernel vectors of the stacked matrix are exactly the
 decompose into a first-stage block v and scenario blocks w that pair
 with it.  The pool of distinct blocks stops growing as the scenario
 count increases; it is harvested from directly computed test sets for
-N = 1..cap with an explicit stabilization check, and improving moves
-for any larger N are assembled per scenario from the pool.  Assembled
-moves need not be test-set elements themselves; any strict improvement
-is accepted, and "no assembled move improves" still certifies
-optimality because assembly covers every projected test-set element.
+N = 1..cap, each completed under the group of scenario swaps
+(nfold._layout_group), with an explicit stabilization check, and
+improving moves for any larger N are assembled per scenario from the
+pool.  Assembled moves need not be test-set elements themselves; any
+strict improvement is accepted, and "no assembled move improves" still
+certifies optimality because assembly covers every projected test-set
+element.
 
 Composite objectives with shared rows (c_j, d_j) fold into the pair as
 stacked matrices (T over C) and graver.fold_rows(W, D), mirroring the
@@ -44,7 +46,7 @@ from .augment import GreedyStep, _per_coordinate, feasible_start, solve_ip_greed
 from .errors import DimMismatch, DomainError, Infeasible, NotStabilized
 from .graver import fold_rows, graver, rows_matter
 from .linalg import Mat, is_zero
-from .nfold import _layout_box, _layout_matrix, _layout_objective, _layout_split
+from .nfold import _layout_box, _layout_group, _layout_matrix, _layout_objective, _layout_split
 from .objective import CompositeObjective, _norm, evaluate
 
 __all__ = [
@@ -154,7 +156,7 @@ def _harvest_blocks(T, W, C, D, cap):
 
     prev = None
     for N in range(1, cap + 1):
-        G = graver(build_twostage_matrix(Tc, Wc, N))
+        G = graver(build_twostage_matrix(Tc, Wc, N), _layout_group(m, N, width))
         for e in G.elements:
             v, ws = _layout_split(e, m, N, n, width)
             first.add(v)

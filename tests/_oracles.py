@@ -228,6 +228,29 @@ def _layout_col(m, n, i, j):
     return j if j < m else m + i * n + (j - m)
 
 
+def block_swaps(m, n, N):
+    """Column permutations of the layout (x, y^(1), ..., y^(N)) that
+    swap blocks i and i + 1, for i = 0..N-2, as plain tuples."""
+    out = []
+    for i in range(N - 1):
+        p = list(range(m + N * n))
+        for j in range(m, m + n):
+            a, b = _layout_col(m, n, i, j), _layout_col(m, n, i + 1, j)
+            p[a], p[b] = b, a
+        out.append(tuple(p))
+    return tuple(out)
+
+
+def orbit_closed(pool, perms):
+    """pool has no duplicates and is closed under negation and under
+    each column permutation p, which maps v to (v[p[0]], v[p[1]], ...)."""
+    have = set(pool)
+    return len(have) == len(pool) and all(
+        tuple(-a for a in v) in have and all(tuple(v[i] for i in p) in have for p in perms)
+        for v in pool
+    )
+
+
 def layout_matrix(T, A, B, m, n, N):
     """Block matrix over (x, y^(1), ..., y^(N)) as plain lists: each
     coupling row of B on every block, then per block i the rows of T on

@@ -1,5 +1,6 @@
 """Backend parity: the compiled kernels must agree with the pure twin."""
 
+import hashlib
 import importlib
 import os
 import random
@@ -10,10 +11,12 @@ import pytest
 
 from graveropt import _kernels_py, kernels
 from graveropt._kernels_py import l1
+from graveropt.errors import DomainError
+from graveropt.graver import graver
 from graveropt.linalg import Mat, kernel_basis
-from graveropt.nfold import build_nfold_matrix
+from graveropt.nfold import _layout_group, build_nfold_matrix
 
-from _oracles import pottier_reference
+from _oracles import orbit_closed, pottier_reference
 
 cython_missing = "cython" not in kernels.available()
 
@@ -136,6 +139,84 @@ def test_completion_forms_one_sum_per_mirror_pair(monkeypatch):
     assert len(once) == len(formed)
     for pair in formed:
         assert frozenset(map(_kernels_py.vec_neg, pair)) not in once, sorted(pair)
+
+
+def _line_sums(N):
+    # 3x3 line sums as the N-fold pair (A, I): at N = 3 the 3x3x3
+    # line-sum matrix of the decode lowering
+    rows = [tuple(int(j // 3 == i) for j in range(9)) for i in range(3)]
+    rows += [tuple(int(k % 3 == j) for k in range(9)) for j in range(3)]
+    return build_nfold_matrix(Mat(tuple(rows)), Mat.identity(9), N)
+
+
+def test_brick_group_completion_of_the_line_sum_code(monkeypatch):
+    # Every pair sum is formed as map(_add, u, v); count them through
+    # the module's map, for plain completion and for graver under the
+    # brick swaps, which runs the pure kernel on either backend.
+    counts = []
+
+    def counting_map(f, *args):
+        if f is _kernels_py._add:
+            counts[-1] += 1
+        return map(f, *args)
+
+    monkeypatch.setattr(_kernels_py, "map", counting_map, raising=False)
+    A = _line_sums(3)
+    counts.append(0)
+    plain = _kernels_py.minimal_elements(_kernels_py.complete(kernel_basis(A)))
+    counts.append(0)
+    G = graver(A, _layout_group(0, 3, 9))
+    assert G.elements == tuple(sorted(plain))
+    assert len(G) == 1590
+    assert hashlib.sha1(repr(G.elements).encode()).hexdigest() == "389d3f588f59b41ac076c4a60704c51a5dde17ef"
+    assert 0 < 4 * counts[1] < counts[0], counts
+
+
+def test_graver_rejects_a_permutation_that_is_no_symmetry():
+    A = Mat(((1, 2, 3),))
+    with pytest.raises(DomainError):
+        graver(A, ((1, 0, 2),))
+    with pytest.raises(DomainError):
+        graver(A, ((0, 0, 1),))
+    with pytest.raises(DomainError):
+        graver(A, ((0, 1),))
+    # the swap of the two columns with equal entries is one
+    B = Mat(((1, 1, 3),))
+    assert graver(B, ((1, 0, 2),)) == graver(B)
+
+
+def test_grouped_completion_under_equal_column_cycles():
+    # Cycling columns that are equal maps the kernel onto itself.  Unlike
+    # the block swaps of the N-fold and two-stage tests, these groups
+    # give test sets that need the pairs of an orbit representative with
+    # its own images.
+    rng = random.Random(7)
+    checked = 0
+    while checked < 40:
+        cols, runs = [], []
+        for _ in range(rng.randint(2, 3)):
+            col = tuple(rng.randint(-2, 2) for _ in range(2))
+            k = rng.randint(1, 3)
+            if k > 1:
+                runs.append(list(range(len(cols), len(cols) + k)))
+            cols += [col] * k
+        if not runs:
+            continue
+        # one generator per run of equal columns: the cycle over the run
+        perms = []
+        for run in runs:
+            p = list(range(len(cols)))
+            for a, b in zip(run, run[1:] + run[:1]):
+                p[a] = b
+            perms.append(tuple(p))
+        perms = tuple(perms)
+        A = Mat(tuple(tuple(c[i] for c in cols) for i in range(2)))
+        gens = kernel_basis(A)
+        pool = _kernels_py.complete(gens, perms)
+        assert orbit_closed(pool, perms), (A.data, perms)
+        plain = _kernels_py.minimal_elements(_kernels_py.complete(gens))
+        assert _kernels_py.minimal_elements(pool) == plain, (A.data, perms)
+        checked += 1
 
 
 def test_minimal_elements_drops_conformal_sums():

@@ -1,9 +1,10 @@
 import random
 
 import pytest
-from _oracles import layout_box, layout_matrix, layout_objective
+from _oracles import block_swaps, layout_box, layout_matrix, layout_objective, orbit_closed
 
 import graveropt.nfold as nfold
+from graveropt import _kernels_py
 from graveropt.augment import FeasibleBox, solve_ip_greedy
 from graveropt.bruteforce import enumerate_feasible, first_feasible, solve_oracle
 from graveropt.errors import DimMismatch, Infeasible, NotStabilized, NTooSmall
@@ -489,3 +490,19 @@ def test_block_layout_matches_plain_list_oracle():
         seen["coupling"] += len(B) > 0
         seen["two-stage"] += m > 0
     assert min(seen.values()) > 15, seen
+
+
+def test_brick_group_completion_matches_plain():
+    # The brick swaps of the layout map the kernel of an N-fold matrix
+    # onto itself; completing under them gives the plain test set from
+    # a pool closed under them and negation.
+    rng = random.Random(19)
+    for _ in range(20):
+        n, N = rng.randint(2, 3), rng.randint(2, 4)
+        A = Mat((tuple(rng.randint(-1, 2) for _ in range(n)),))
+        B = Mat(tuple(tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(rng.randint(1, 2))))
+        M = build_nfold_matrix(A, B, N)
+        group = nfold._layout_group(0, N, n)
+        assert group == block_swaps(0, n, N)
+        assert graver(M, group).elements == graver(M).elements, (A.data, B.data, N)
+        assert orbit_closed(_kernels_py.complete(kernel_basis(M), group), group), (A.data, B.data, N)

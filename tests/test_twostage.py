@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from _oracles import dense_twostage_step
+from _oracles import block_swaps, dense_twostage_step, orbit_closed
 
 from graveropt.augment import FeasibleBox, greedy_step, solve_ip_greedy
 from graveropt.bruteforce import first_feasible
@@ -17,6 +17,8 @@ from graveropt.graver import graver, graver_composite
 from graveropt.linalg import Mat, integer_solution, kernel_basis
 from graveropt.objective import AbsPower, CompositeObjective, evaluate
 import graveropt.twostage as twostage
+from graveropt import _kernels_py
+from graveropt.nfold import _layout_group
 from graveropt.twostage import (
     BlockMoves,
     BuildingBlocks,
@@ -572,3 +574,19 @@ def test_pricing_on_support_matches_dense_pricing():
         _assert_step_matches(BlockMoves(blocks, inst).step(z, violation, relaxed), want, violation, z)
         improving["phase one"] += want is not None
     assert min(improving.values()) > 20, improving
+
+
+def test_scenario_group_completion_matches_plain():
+    # Swapping two scenarios (first stage fixed) maps the kernel of a
+    # two-stage matrix onto itself; completing under the swaps gives the
+    # plain test set from a pool closed under them and negation.
+    rng = random.Random(20)
+    for _ in range(20):
+        m, n, N = rng.randint(1, 2), rng.randint(2, 3), rng.randint(2, 4)
+        T = Mat((tuple(rng.randint(-1, 1) for _ in range(m)),))
+        W = Mat((tuple(rng.randint(-1, 2) for _ in range(n)),))
+        M = build_twostage_matrix(T, W, N)
+        group = _layout_group(m, N, n)
+        assert group == block_swaps(m, n, N)
+        assert graver(M, group).elements == graver(M).elements, (T.data, W.data, N)
+        assert orbit_closed(_kernels_py.complete(kernel_basis(M), group), group), (T.data, W.data, N)
