@@ -1,32 +1,3 @@
-import os
+from setuptools import setup
 
-from setuptools import Extension, setup
-
-
-def extensions():
-    # GRAVER_OPT_PURE=1 skips the compiled kernels entirely.  Without
-    # Cython the shipped _speedups.cpp is compiled instead of the .pyx;
-    # a missing compiler just means the pure backend is used at runtime.
-    if os.environ.get("GRAVER_OPT_PURE"):
-        return []
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return [
-            Extension(
-                "graveropt._speedups",
-                ["src/graveropt/_speedups.cpp"],
-                language="c++",
-                optional=True,
-            )
-        ]
-    ext = Extension(
-        "graveropt._speedups",
-        ["src/graveropt/_speedups.pyx"],
-        language="c++",
-        optional=True,
-    )
-    return cythonize([ext], language_level=3)
-
-
-setup(ext_modules=extensions())
+setup()

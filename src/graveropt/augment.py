@@ -272,7 +272,7 @@ class DirectionTable:
     """A direction list with per-coordinate sign bitsets over it.
 
     Bit i of up[j] (down[j]) is set when directions[i][j] > 0 (< 0), in
-    the style of the _Fits bitsets of the pure kernels.  From a point
+    the style of the _Fits bitsets of the kernels.  From a point
     with z[j] on its upper bound every direction in up[j] has step
     bound 0, and likewise down[j] at the lower bound; live() ORs those
     bitsets and returns the directions that remain.  Build one per

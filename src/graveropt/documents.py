@@ -256,7 +256,8 @@ def _check_declared_rows(p, field, rows):
 
 def _nfold_from_payload(p, objective):
     A = _matrix_from(p.get("A"), "A")
-    B = _matrix_from(p.get("B"), "B")
+    # instance_to_doc writes a B with no rows as []; it has A's columns
+    B = Mat((), cols=A.cols) if p.get("B") == [] else _matrix_from(p.get("B"), "B")
     N = _int_from(p.get("N"), "N")
     b0 = _int_vec(p.get("b0"), "b0")
     b = tuple(_int_vec(x, "b block") for x in p.get("b", []))

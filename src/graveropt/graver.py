@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from . import _kernels_py, kernels
+from . import kernels
 from .augment import DirectionTable
 from .errors import BoundExceeded, DimMismatch, DomainError, NotInKernel
 from .linalg import Mat, conforms, is_zero, kernel_basis, primitive_part, vec_neg
@@ -124,12 +124,7 @@ def _graver_elements(A, group=()):
     for p in group:
         if any(any(A.mul_vec(tuple(b[i] for i in p))) for b in basis):
             raise DomainError("column permutation %r does not map the kernel onto itself" % (tuple(p),))
-    if group:
-        # the compiled twin takes no group, so grouped completions run pure
-        pool = _kernels_py.complete(basis, group)
-    else:
-        pool = kernels.active.complete(basis)
-    return tuple(sorted(kernels.active.minimal_elements(pool)))
+    return tuple(sorted(kernels.minimal_elements(kernels.complete(basis, group))))
 
 
 def graver(A, group=()):

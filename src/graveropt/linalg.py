@@ -19,8 +19,8 @@ triangular on the pivot rows of H, and z = U^T y.
 from math import gcd
 
 from .errors import DimMismatch, ZeroVector
-from ._kernels_py import conforms, vec_add, vec_sub, vec_neg, is_zero
-from ._kernels_py import sign_compatible as _sign_compatible_fast
+from .kernels import conforms, vec_add, vec_sub, vec_neg, is_zero
+from .kernels import sign_compatible as _sign_compatible_fast
 
 __all__ = [
     "Mat",

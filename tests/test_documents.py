@@ -19,7 +19,7 @@ from graveropt.documents import (
 from graveropt.errors import SchemaError
 from graveropt.linalg import Mat
 from graveropt.models import DecodingSpec, build_transportation
-from graveropt.nfold import NFoldInstance
+from graveropt.nfold import NFoldInstance, solve_nfold
 from graveropt.objective import (
     AbsPower,
     CompositeObjective,
@@ -237,6 +237,26 @@ def test_nfold_declared_rows_checked():
     doc["payload"]["C_rows"] = [[1, 0]]
     with pytest.raises(SchemaError):
         load_instance(doc)
+
+
+def test_nfold_without_coupling_rows_round_trips_and_solves():
+    # B with no rows is written as [] and read back with A's columns
+    obj = objective_from_doc({"kind": "composite", "c": [0, 0], "rows": [{"coeffs": [1, 0], "fn": SQ_DOC}]})
+    inst = NFoldInstance(
+        A=Mat(((1, 1),)),
+        B=Mat((), cols=2),
+        N=2,
+        b0=(),
+        b=((2,), (1,)),
+        upper=((2, 2), (2, 2)),
+        objective=(obj, obj),
+    )
+    doc = instance_to_doc("nfold", inst)
+    assert doc["payload"]["B"] == []
+    kind, inst2 = load_instance(parse(to_json(doc)))
+    assert kind == "nfold" and inst2 == inst
+    z, _ = solve_nfold(inst2)
+    assert z.flatten() == (0, 2, 0, 1)
 
 
 def twostage_doc():

@@ -1,7 +1,6 @@
-"""Backend parity: the compiled kernels must agree with the pure twin."""
+"""The completion kernels: pair queueing, orbits, reducers and filters."""
 
 import hashlib
-import importlib
 import os
 import random
 import subprocess
@@ -9,16 +8,13 @@ import sys
 
 import pytest
 
-from graveropt import _kernels_py, kernels
-from graveropt._kernels_py import l1
+from graveropt import kernels
 from graveropt.errors import DomainError
 from graveropt.graver import graver
 from graveropt.linalg import Mat, kernel_basis
 from graveropt.nfold import _layout_group, build_nfold_matrix
 
 from _oracles import orbit_closed, pottier_reference
-
-cython_missing = "cython" not in kernels.available()
 
 
 def _random_matrix(rng, n_max=4, m_max=2, n_min=2):
@@ -27,82 +23,43 @@ def _random_matrix(rng, n_max=4, m_max=2, n_min=2):
     return Mat(tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(m)))
 
 
-def _basis_via(backend_name, A):
-    old = kernels.active
-    try:
-        mod = kernels.use(backend_name)
-        gens = kernel_basis(A)
-        pool = mod.complete(gens)
-        return sorted(mod.minimal_elements(pool))
-    finally:
-        kernels.active = old
-
-
 def test_available_contains_python():
-    assert "python" in kernels.available()
-
-
-def test_use_rejects_unknown():
-    with pytest.raises(ValueError):
-        kernels.use("fortran")
+    # the pure kernel is the only backend; graverbench records its name
+    assert kernels.BACKEND == "python"
+    assert kernels.backend_name() == "python"
 
 
 def test_use_switches_backend():
-    old = kernels.active
-    try:
-        mod = kernels.use("python")
-        assert mod.BACKEND == "python"
-        assert kernels.backend_name() == "python"
-    finally:
-        kernels.active = old
+    # graverbench resolves its kernel spans through kernels.active
+    assert kernels.active is kernels
+    assert kernels.active.complete is kernels.complete
+    assert kernels.active.minimal_elements is kernels.minimal_elements
 
 
-@pytest.mark.skipif(cython_missing, reason="compiled backend not built")
-def test_backends_agree_on_random_matrices():
-    rng = random.Random(12)
-    for _ in range(30):
-        A = _random_matrix(rng)
-        assert _basis_via("python", A) == _basis_via("cython", A), A.data
+def test_pure_env_var_disables_extension():
+    # without GRAVER_OPT_PURE, a fresh process still completes on the
+    # pure kernel and loads no compiled extension
+    code = (
+        "import sys;"
+        "from graveropt import kernels;"
+        "from graveropt.graver import graver;"
+        "from graveropt.linalg import Mat;"
+        "graver(Mat(((1, 1, 1),)));"
+        "print(kernels.backend_name(), 'graveropt._speedups' in sys.modules)"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "GRAVER_OPT_PURE"}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.split() == ["python", "False"]
 
 
-@pytest.mark.skipif(cython_missing, reason="compiled backend not built")
-def test_backends_scalar_parity():
-    from graveropt import _kernels_py, _speedups
-
-    rng = random.Random(13)
-    cases = []
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        cases.append(
-            (
-                tuple(rng.randint(-5, 5) for _ in range(n)),
-                tuple(rng.randint(-5, 5) for _ in range(n)),
-            )
-        )
-    # values past int64 must take the overflow path and still agree
-    big = 2**63
-    cases.append(((big, -big), (big + 7, -big - 9)))
-    cases.append(((-(2**40), 2**41), (2**90, -(2**91))))
-    for u, v in cases:
-        assert _speedups.sign_compatible(u, v) == _kernels_py.sign_compatible(u, v)
-        assert _speedups.conforms(u, v) == _kernels_py.conforms(u, v)
-        assert _speedups.vec_add(u, v) == _kernels_py.vec_add(u, v)
-        assert _speedups.vec_sub(u, v) == _kernels_py.vec_sub(u, v)
-        assert _speedups.vec_neg(u) == _kernels_py.vec_neg(u)
-        assert _speedups.is_zero(u) == _kernels_py.is_zero(u)
-        assert _speedups.l1(u) == _kernels_py.l1(u)
-        assert _speedups.conformal_multiple(u, v) == _kernels_py.conformal_multiple(u, v)
-
-
-@pytest.mark.skipif(cython_missing, reason="compiled backend not built")
 def test_completion_survives_huge_seed_entries():
-    from graveropt import _speedups, _kernels_py
-
-    # forces the completion out of the int64 fast path mid-run
+    # entries far past any machine word stay exact
     gens = ((2**62, -(2**62), 0), (0, 2**62, -(2**62)))
-    a = sorted(_speedups.minimal_elements(_speedups.complete(gens)))
-    b = sorted(_kernels_py.minimal_elements(_kernels_py.complete(gens)))
-    assert a == b
+    got = sorted(kernels.minimal_elements(kernels.complete(gens)))
+    assert got == pottier_reference(gens)
+    assert len(got) == 6
 
 
 def test_pure_completion_matches_textbook_pottier():
@@ -110,10 +67,10 @@ def test_pure_completion_matches_textbook_pottier():
     for _ in range(100):
         A = _random_matrix(rng, n_max=6, m_max=3, n_min=3)
         gens = kernel_basis(A)
-        pool = _kernels_py.complete(gens)
+        pool = kernels.complete(gens)
         assert len(set(pool)) == len(pool), A.data
-        assert {_kernels_py.vec_neg(v) for v in pool} == set(pool), A.data
-        assert sorted(_kernels_py.minimal_elements(pool)) == pottier_reference(gens), A.data
+        assert {kernels.vec_neg(v) for v in pool} == set(pool), A.data
+        assert sorted(kernels.minimal_elements(pool)) == pottier_reference(gens), A.data
 
 
 def test_completion_forms_one_sum_per_mirror_pair(monkeypatch):
@@ -124,21 +81,21 @@ def test_completion_forms_one_sum_per_mirror_pair(monkeypatch):
     formed = []
 
     def recording_map(f, *args):
-        if f is _kernels_py._add:
+        if f is kernels._add:
             formed.append(frozenset(args))
         return map(f, *args)
 
-    monkeypatch.setattr(_kernels_py, "map", recording_map, raising=False)
+    monkeypatch.setattr(kernels, "map", recording_map, raising=False)
     rows = [tuple(int(j // 3 == i) for j in range(9)) for i in range(3)]
     rows += [tuple(int(k % 3 == j) for k in range(9)) for j in range(3)]
     A = build_nfold_matrix(Mat(tuple(rows)), Mat.identity(9), 2)
-    pool = _kernels_py.complete(kernel_basis(A))
-    assert len(_kernels_py.minimal_elements(pool)) == 30
+    pool = kernels.complete(kernel_basis(A))
+    assert len(kernels.minimal_elements(pool)) == 30
     assert len(formed) > 100
     once = set(formed)
     assert len(once) == len(formed)
     for pair in formed:
-        assert frozenset(map(_kernels_py.vec_neg, pair)) not in once, sorted(pair)
+        assert frozenset(map(kernels.vec_neg, pair)) not in once, sorted(pair)
 
 
 def _line_sums(N):
@@ -152,18 +109,18 @@ def _line_sums(N):
 def test_brick_group_completion_of_the_line_sum_code(monkeypatch):
     # Every pair sum is formed as map(_add, u, v); count them through
     # the module's map, for plain completion and for graver under the
-    # brick swaps, which runs the pure kernel on either backend.
+    # brick swaps.
     counts = []
 
     def counting_map(f, *args):
-        if f is _kernels_py._add:
+        if f is kernels._add:
             counts[-1] += 1
         return map(f, *args)
 
-    monkeypatch.setattr(_kernels_py, "map", counting_map, raising=False)
+    monkeypatch.setattr(kernels, "map", counting_map, raising=False)
     A = _line_sums(3)
     counts.append(0)
-    plain = _kernels_py.minimal_elements(_kernels_py.complete(kernel_basis(A)))
+    plain = kernels.minimal_elements(kernels.complete(kernel_basis(A)))
     counts.append(0)
     G = graver(A, _layout_group(0, 3, 9))
     assert G.elements == tuple(sorted(plain))
@@ -212,31 +169,18 @@ def test_grouped_completion_under_equal_column_cycles():
         perms = tuple(perms)
         A = Mat(tuple(tuple(c[i] for c in cols) for i in range(2)))
         gens = kernel_basis(A)
-        pool = _kernels_py.complete(gens, perms)
+        pool = kernels.complete(gens, perms)
         assert orbit_closed(pool, perms), (A.data, perms)
-        plain = _kernels_py.minimal_elements(_kernels_py.complete(gens))
-        assert _kernels_py.minimal_elements(pool) == plain, (A.data, perms)
+        plain = kernels.minimal_elements(kernels.complete(gens))
+        assert kernels.minimal_elements(pool) == plain, (A.data, perms)
         checked += 1
 
 
 def test_minimal_elements_drops_conformal_sums():
     pool = [(1, -1), (-1, 1), (2, -2)]
-    assert sorted(kernels.active.minimal_elements(pool)) == [(-1, 1), (1, -1)]
+    assert sorted(kernels.minimal_elements(pool)) == [(-1, 1), (1, -1)]
 
 
 def test_l1():
-    assert l1((3, -4, 0)) == 7
-    assert l1(()) == 0
-
-
-def test_pure_env_var_disables_extension():
-    code = (
-        "from graveropt import kernels;"
-        "print(kernels.backend_name(), sorted(kernels.available()))"
-    )
-    env = dict(os.environ, GRAVER_OPT_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert out.stdout.split()[0] == "python"
-    assert "cython" not in out.stdout
+    assert kernels.l1((3, -4, 0)) == 7
+    assert kernels.l1(()) == 0

@@ -4,7 +4,7 @@ import pytest
 from _oracles import block_swaps, layout_box, layout_matrix, layout_objective, orbit_closed
 
 import graveropt.nfold as nfold
-from graveropt import _kernels_py
+from graveropt import kernels
 from graveropt.augment import FeasibleBox, solve_ip_greedy
 from graveropt.bruteforce import enumerate_feasible, first_feasible, solve_oracle
 from graveropt.errors import DimMismatch, Infeasible, NotStabilized, NTooSmall
@@ -505,4 +505,4 @@ def test_brick_group_completion_matches_plain():
         group = nfold._layout_group(0, N, n)
         assert group == block_swaps(0, n, N)
         assert graver(M, group).elements == graver(M).elements, (A.data, B.data, N)
-        assert orbit_closed(_kernels_py.complete(kernel_basis(M), group), group), (A.data, B.data, N)
+        assert orbit_closed(kernels.complete(kernel_basis(M), group), group), (A.data, B.data, N)

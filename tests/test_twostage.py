@@ -17,7 +17,7 @@ from graveropt.graver import graver, graver_composite
 from graveropt.linalg import Mat, integer_solution, kernel_basis
 from graveropt.objective import AbsPower, CompositeObjective, evaluate
 import graveropt.twostage as twostage
-from graveropt import _kernels_py
+from graveropt import kernels
 from graveropt.nfold import _layout_group
 from graveropt.twostage import (
     BlockMoves,
@@ -589,4 +589,4 @@ def test_scenario_group_completion_matches_plain():
         group = _layout_group(m, N, n)
         assert group == block_swaps(m, n, N)
         assert graver(M, group).elements == graver(M).elements, (T.data, W.data, N)
-        assert orbit_closed(_kernels_py.complete(kernel_basis(M), group), group), (T.data, W.data, N)
+        assert orbit_closed(kernels.complete(kernel_basis(M), group), group), (T.data, W.data, N)
