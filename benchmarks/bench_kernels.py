@@ -1,11 +1,13 @@
 """Benchmark the completion hot path: plain against grouped completion.
 
 Runs the full test-set computation for a family of matrices and prints
-per-case wall times.  The "plain" column is graver(A); the "brick group"
-column is graver(A, group) under the brick swaps of the N-fold layout,
-for the line-sum cases that have one, and must return the same sorted
-elements.  The headline case is the 3x3x3 all-line-sums matrix (27
-variables), whose test set has 1590 elements.
+per-case wall times.  The "plain" column is graver(A); for the line-sum
+cases, the "brick group" column is graver(A, group) under the brick
+swaps of the N-fold layout, and the "table group" column adds the 3x3
+layer's table symmetries that models.build_3way_linesum derives (row
+swaps, column swaps, transpose).  Every column must return the same
+sorted elements.  The headline case is the 3x3x3 all-line-sums matrix
+(27 variables), whose test set has 1590 elements.
 
 Usage: python benchmarks/bench_kernels.py [--quick]
 """
@@ -15,6 +17,7 @@ import sys
 from time import perf_counter
 
 from graveropt import Mat, graver
+from graveropt.models import build_3way_linesum
 from graveropt.nfold import _layout_group, build_nfold_matrix
 
 
@@ -28,12 +31,18 @@ def _bipartite_incidence(L, M):
 
 
 def cases(quick):
-    """(label, matrix, group); the group is () where none is known."""
-    yield "knapsack 1x4", Mat(((1, 2, 3, 4),)), ()
-    yield "two rows 2x5", Mat(((1, 1, 1, 1, 1), (0, 1, 2, 3, 4))), ()
+    """(label, matrix, {column: group}) for the grouped columns known."""
+    yield "knapsack 1x4", Mat(((1, 2, 3, 4),)), {}
+    yield "two rows 2x5", Mat(((1, 1, 1, 1, 1), (0, 1, 2, 3, 4))), {}
+    layer = build_3way_linesum(3, 3, 3, *[[[1] * 3] * 3] * 3, 1)
+    assert (layer.A, layer.B) == (_bipartite_incidence(3, 3), Mat.identity(9))
     for N in (2,) if quick else (2, 3):
         A = build_nfold_matrix(_bipartite_incidence(3, 3), Mat.identity(9), N)
-        yield "3x3 line sums, N=%d" % N, A, _layout_group(0, N, 9)
+        groups = {
+            "brick group": _layout_group(0, N, 9),
+            "table group": _layout_group(0, N, 9, layer.symmetries),
+        }
+        yield "3x3 line sums, N=%d" % N, A, groups
 
 
 def main():
@@ -41,13 +50,12 @@ def main():
     ap.add_argument("--quick", action="store_true", help="skip the 27-variable case")
     args = ap.parse_args()
 
-    columns = ("plain", "brick group")
+    columns = ("plain", "brick group", "table group")
     results = {}
-    for label, A, group in cases(args.quick):
+    for label, A, groups in cases(args.quick):
         row = {}
         bases = set()
-        runs = [("plain", ())] + ([("brick group", group)] if group else [])
-        for name, g in runs:
+        for name, g in [("plain", ())] + list(groups.items()):
             t0 = perf_counter()
             basis = graver(A, g)
             row[name] = perf_counter() - t0

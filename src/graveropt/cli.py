@@ -37,7 +37,7 @@ from .errors import (
 from .graver import circuits, graver, graver_composite, rows_matter
 from .linalg import Mat, integer_solution
 from .models import _decode_instance, _decode_lowered
-from .nfold import DIRECT_THRESHOLD, solve_nfold
+from .nfold import DIRECT_THRESHOLD, _layout_group, solve_nfold
 from .objective import CompositeObjective, LinearObjective, evaluate
 from .twostage import solve_twostage
 
@@ -135,6 +135,18 @@ def _flat_problem(kind, obj):
     return inst.box(), inst.flatten_objective(), lowered
 
 
+def _block_group(kind, lowered):
+    """Column permutations that map the kernel of a document's flat
+    matrix onto itself: the block layout's swaps, plus an N-fold
+    instance's symmetries on every block; none for ip and lp."""
+    if kind in ("ip", "lp"):
+        return ()
+    inst = lowered[0] if kind == "decode" else lowered
+    if kind == "twostage":
+        return _layout_group(inst.m, inst.N, inst.n)
+    return _layout_group(0, inst.N, inst.n, inst.symmetries)
+
+
 def cmd_solve(args):
     t0 = perf_counter()
     kind, obj = load_instance(_read_doc(args.path))
@@ -191,13 +203,13 @@ def cmd_solve(args):
 
 def cmd_basis(args):
     kind, obj = load_instance(_read_doc(args.path))
-    box, objective, _ = _flat_problem(kind, obj)
+    box, objective, lowered = _flat_problem(kind, obj)
     A = box.A
     C = _composite_rows(objective, A.cols)
     if args.variant == "circuits":
         elements = circuits(A).elements
     elif args.variant == "graver":
-        elements = graver(A).elements
+        elements = graver(A, _block_group(kind, lowered)).elements
     else:
         elements = graver_composite(A, C).elements
     _emit(

@@ -15,7 +15,8 @@ negations until no pair produces anything new.  A final filter keeps the
 conformally minimal elements.  Pairs that already lie in a common orthant
 reduce to zero and are skipped up front.  Where the caller knows column
 permutations that map the kernel onto itself (the block swaps of an
-N-fold or two-stage layout), graver takes them as a group: the pool
+N-fold or two-stage layout, and a margin model's table symmetries
+applied to every block at once), graver takes them as a group: the pool
 then grows by whole orbits, and each pair sum is formed once per orbit.
 
 Everything is exact; element coordinates are unbounded Python ints.

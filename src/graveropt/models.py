@@ -15,7 +15,7 @@ decode drives the solver.
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import inf
 
 from . import bruteforce
@@ -236,6 +236,26 @@ def build_3way_linesum(L, M, N, r, s, t, caps, objective=None):
     return build_hierarchical(spec, objective)
 
 
+def _table_symmetries(spec, cells):
+    """Permutations of a block's cells that map every margin of spec
+    onto a margin: for each non-block axis the swaps of adjacent values,
+    and the swap of two equal-size non-block axes where it maps the
+    family onto itself."""
+    index = {c: j for j, c in enumerate(cells)}
+    perms = []
+    for a, m in enumerate(spec.dims[:-1]):
+        for v in range(m - 1):
+            swap = {v: v + 1, v + 1: v}
+            perms.append([c[:a] + (swap.get(c[a], c[a]),) + c[a + 1 :] for c in cells])
+    for a, b in combinations(range(len(spec.dims) - 1), 2):
+        swap = {a + 1: b + 1, b + 1: a + 1}
+        family = {tuple(sorted(swap.get(x, x) for x in H)) for H in spec.family}
+        if spec.dims[a] == spec.dims[b] > 1 and family == set(spec.family):
+            order = {a: b, b: a}
+            perms.append([tuple(c[order.get(k, k)] for k in range(len(c))) for c in cells])
+    return tuple(tuple(index[c] for c in p) for p in perms)
+
+
 def build_hierarchical(spec, objective=None):
     """N-fold instance of a hierarchical margin system.
 
@@ -243,7 +263,11 @@ def build_hierarchical(spec, objective=None):
     a block holds one slice (cells row-major over the other axes).
     Margins whose support contains the last coordinate pin per-slice
     sums and become block rows; the others sum across slices and become
-    coupling rows.
+    coupling rows.  Permuting the values of a non-block axis, or
+    swapping two equal non-block axes when that swap maps the family
+    onto itself, maps every margin onto a margin: the instance carries
+    these cell permutations as its symmetries, under which its block
+    test sets are completed.
     """
     if not isinstance(spec, MarginSpec):
         raise DomainError("build_hierarchical takes a MarginSpec")
@@ -271,6 +295,7 @@ def build_hierarchical(spec, objective=None):
         b=tuple(tuple(spec.values[t[:-1] + (k,)] for t in a_keys) for k in range(1, N + 1)),
         upper=tuple(tuple(spec.bound_at(cell + (k,)) for cell in cells) for k in range(N)),
         objective=_zero_objective(len(cells), N) if objective is None else tuple(objective),
+        symmetries=_table_symmetries(spec, cells),
     )
 
 

@@ -24,6 +24,10 @@ y^(i), with x fixed, maps the kernel of every layout matrix onto
 itself; _layout_group gives that group as its adjacent-block swaps,
 and every block test set (direct, in the lifted walk, or the two-stage
 harvest) is completed under it, forming each pair sum once per orbit.
+An N-fold instance may also carry symmetries: permutations of one
+block's cells that permute the rows of A and of B, such as the table
+symmetries of a margin model.  Applied to every block at once they
+join the group, unless the objective's rows fold into the pair.
 
 Composite objectives ride along by folding their shared coefficient
 rows into the block: the pair ([[A,0],[rows,I]], [B 0]) has the same
@@ -46,6 +50,7 @@ left at the end certifies infeasibility.
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from operator import itemgetter
 
 from .augment import DirectionTable, FeasibleBox, feasible_start, solve_ip_greedy
 from .errors import DimMismatch, DomainError, Infeasible, NotStabilized, NTooSmall
@@ -117,17 +122,21 @@ def _layout_split(flat, m, N, n, width=None):
     return tuple(flat[:m]), tuple(tuple(flat[m + i * w : m + i * w + n]) for i in range(N))
 
 
-def _layout_group(m, N, w):
+def _layout_group(m, N, w, symmetries=()):
     """Column permutations that swap the adjacent blocks y^(i), y^(i+1)
     of the layout, blocks w wide, with x fixed: generators of the group
     of block permutations, which maps the kernel of the layout's
-    matrix onto itself.  No generator when N is 1."""
+    matrix onto itself.  No such swap when N is 1.  Each permutation p
+    of one block's w cells in symmetries (NFoldInstance.symmetries)
+    adds its image on every block at once."""
     out = []
     for i in range(N - 1):
         p = list(range(m + N * w))
         a, b, c = m + i * w, m + (i + 1) * w, m + (i + 2) * w
         p[a:c] = p[b:c] + p[a:b]
         out.append(tuple(p))
+    for p in symmetries:
+        out.append(tuple(range(m)) + tuple(m + i * w + j for i in range(N) for j in p))
     return tuple(out)
 
 
@@ -195,10 +204,11 @@ def analyze_pair(A, B, cap=6):
     return _walk(A, B, cap)
 
 
-def _walk(A, B, cap, width=None):
+def _walk(A, B, cap, width=None, symmetries=()):
     """analyze_pair's walk.  With a width it computes no test set wider
     than that: reaching N = width unstabilized, it returns the directly
-    computed GraverBasis at that width instead of seeds."""
+    computed GraverBasis at that width instead of seeds.  Each
+    completion runs under _layout_group(0, N, A.cols, symmetries)."""
     if cap < 2:
         raise DomainError("cap must be at least 2")
     if A.cols != B.cols:
@@ -208,7 +218,7 @@ def _walk(A, B, cap, width=None):
 
     def basis_at(N):
         if N not in bases:
-            bases[N] = graver(build_nfold_matrix(A, B, N), _layout_group(0, N, A.cols))
+            bases[N] = graver(build_nfold_matrix(A, B, N), _layout_group(0, N, A.cols, symmetries))
         return bases[N].elements
 
     if not basis_at(1) and width != 1 and not basis_at(2):
@@ -259,7 +269,16 @@ def lift_graver(seed, N):
 class NFoldInstance:
     """N repeated blocks under shared per-block matrix A and coupling
     matrix B; objectives are one composite per block over that block's
-    coordinates, all sharing the same coefficient rows."""
+    coordinates, all sharing the same coefficient rows.
+
+    symmetries are permutations p of one block's n cells, acting on a
+    block y as (y[p[0]], ..., y[p[n-1]]), that permute the rows of A
+    and of B.  Applied to every block at once, each maps the kernel of
+    the block matrix onto itself at every N, so the block test sets
+    are completed under them (models.build_hierarchical derives them
+    from the margin system); a permutation that does not permute the
+    rows is a DomainError.  They change no test set and no solve.
+    """
 
     A: Mat
     B: Mat
@@ -268,6 +287,7 @@ class NFoldInstance:
     b: tuple  # N right-hand sides, one per block
     upper: tuple  # N bound vectors, one per block
     objective: tuple  # N CompositeObjective over n coordinates
+    symmetries: tuple = ()  # permutations of one block's cells
 
     def __post_init__(self):
         if self.A.cols != self.B.cols:
@@ -298,10 +318,19 @@ class NFoldInstance:
                 rows0 = rows
             elif rows != rows0:
                 raise DomainError("objective coefficient rows must be shared across blocks")
+        syms = tuple(tuple(p) for p in self.symmetries)
+        mats = [(M.data, sorted(M.data)) for M in (self.A, self.B)]
+        for p in syms:
+            # a permutation of fewer than two cells is the identity
+            if sorted(p) != list(range(n)) or n > 1 and any(
+                sorted(map(itemgetter(*p), rows)) != want for rows, want in mats
+            ):
+                raise DomainError("%r does not permute the rows of A and of B" % (p,))
         object.__setattr__(self, "b0", b0)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "objective", obj)
+        object.__setattr__(self, "symmetries", syms)
 
     @property
     def n(self):
@@ -334,31 +363,35 @@ def _test_set(inst, graver_cap=6, direct_threshold=DIRECT_THRESHOLD):
     block matrix, with the objective's shared coefficient rows folded
     into the pair when graver.rows_matter says they count.  Up to
     direct_threshold flat variables it is computed directly; beyond
-    that it is lifted from the stabilized seed generators."""
+    that it is lifted from the stabilized seed generators.  Completions
+    run under the brick swaps, plus inst.symmetries when no rows fold
+    in (they permute the cells of A, not those of a folded pair)."""
     A, B, N, n = inst.A, inst.B, inst.N, inst.n
     C = inst.shared_rows()
-    M = inst.matrix()
+    M, sym = inst.matrix(), inst.symmetries
     if rows_matter(C):
-        A, B, M = fold_rows(A, C), Mat.hstack(B, Mat.zeros(B.rows, C.rows)), None
+        A, B, M, sym = fold_rows(A, C), Mat.hstack(B, Mat.zeros(B.rows, C.rows)), None, ()
     cap = None if N * n <= direct_threshold else graver_cap
-    return _block_test_set(A, B, N, n, cap, M)
+    return _block_test_set(A, B, N, n, cap, M, sym)
 
 
 # Repeated solves over one pair and width (decode batches, documents of
 # one shape) reuse the test set; matrices are immutable and hashable.
 @lru_cache(maxsize=64)
-def _block_test_set(A, B, N, n, cap, M):
+def _block_test_set(A, B, N, n, cap, M, symmetries):
     """Test set of the block matrix of (A, B) at width N: computed
     directly when cap is None, else lifted through the walk with that
-    cap.  M, when given, is that block matrix as the instance built it
-    for its box, so a solve builds it once.  A folded
+    cap, each completion under _layout_group(0, N, A.cols, symmetries).
+    M, when given, is that block matrix as the instance built it for
+    its box, so a solve builds it once.  A folded
     pair, A wider than n, keeps the first n coordinates of each block:
     nonzero, deduplicated and sorted, in one table so that phase one
     and the solve share its bitsets."""
     if cap is None:
-        G = graver(build_nfold_matrix(A, B, N) if M is None else M, _layout_group(0, N, A.cols))
+        M = build_nfold_matrix(A, B, N) if M is None else M
+        G = graver(M, _layout_group(0, N, A.cols, symmetries))
     else:
-        G = _walk(A, B, cap, N)
+        G = _walk(A, B, cap, N, symmetries)
         if isinstance(G, LiftedGraver):
             G = lift_graver(G, N)
     width = A.cols

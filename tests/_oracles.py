@@ -6,8 +6,9 @@ replaces completion, so agreement between the two routes is evidence,
 not tautology.
 """
 
+from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import ceil, gcd, log
 
 
 def mul(A, v):
@@ -333,3 +334,16 @@ def pottier_reference(basis):
             pairs.extend([(g, s) for g in G if fights(g, s)])
             G.append(s)
     return sorted(v for v in G if not any(g != v and _below(g, v) for g in G))
+
+
+def assert_step_bound(trace, opt):
+    """The paper's bound on a Graver-best walk that ends at the optimum
+    value opt: each step removes at least a 1/n_eff share of the gap
+    f(z) - opt (integer Caratheodory), so the walk takes at most
+    ceil(n_eff * log(h + 1)) + 1 steps for the objective range h."""
+    n_eff = trace.n_eff
+    for k, step in enumerate(trace.iterations):
+        gain = step.value_before - step.value_after
+        assert gain >= Fraction(step.value_before - opt, n_eff), (k, step, opt, n_eff)
+    assert trace.h_bound is not None
+    assert len(trace) <= ceil(n_eff * log(trace.h_bound + 1)) + 1, (len(trace), trace.h_bound)

@@ -8,7 +8,6 @@ and requires byte-identical output modulo wall_ms.
 
 import io
 import itertools
-import math
 import os
 import random
 import sys
@@ -49,7 +48,7 @@ from graveropt.twostage import (
     solve_twostage,
 )
 
-from _oracles import minimal_kernel_in_box
+from _oracles import assert_step_bound, minimal_kernel_in_box
 
 EX_A = Mat(((2, 1, 0, 1, 0, 0), (1, 2, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1)))
 EX_B = (2, 2, 1)
@@ -265,12 +264,7 @@ def test_criterion_05():
             n, s = rec["n"], rec["s"]
             n_eff = 2 * n - 2 if s == 0 else 2 * (n + s) - 2
             assert trace.n_eff == n_eff
-            opt = rec["opt"]
-            for step in trace.iterations:
-                gain = step.value_before - step.value_after
-                assert gain >= Fraction(step.value_before - opt, n_eff)
-            bound = math.ceil(n_eff * math.log(trace.h_bound + 1)) + 1
-            assert len(trace) <= bound
+            assert_step_bound(trace, rec["opt"])
 
 
 def test_criterion_06():

@@ -12,6 +12,7 @@ from graveropt import kernels
 from graveropt.errors import DomainError
 from graveropt.graver import graver
 from graveropt.linalg import Mat, kernel_basis
+from graveropt.models import build_3way_linesum
 from graveropt.nfold import _layout_group, build_nfold_matrix
 
 from _oracles import orbit_closed, pottier_reference
@@ -108,8 +109,9 @@ def _line_sums(N):
 
 def test_brick_group_completion_of_the_line_sum_code(monkeypatch):
     # Every pair sum is formed as map(_add, u, v); count them through
-    # the module's map, for plain completion and for graver under the
-    # brick swaps.
+    # the module's map, for plain completion, for graver under the
+    # brick swaps, and under the brick swaps plus the table symmetries
+    # that the line-sum builder derives for a 3x3 layer.
     counts = []
 
     def counting_map(f, *args):
@@ -127,6 +129,12 @@ def test_brick_group_completion_of_the_line_sum_code(monkeypatch):
     assert len(G) == 1590
     assert hashlib.sha1(repr(G.elements).encode()).hexdigest() == "389d3f588f59b41ac076c4a60704c51a5dde17ef"
     assert 0 < 4 * counts[1] < counts[0], counts
+    layer = build_3way_linesum(3, 3, 3, *[[[1] * 3] * 3] * 3, 1)
+    assert build_nfold_matrix(layer.A, layer.B, 3) == A
+    counts.append(0)
+    T = graver(A, _layout_group(0, 3, 9, layer.symmetries))
+    assert T.elements == G.elements
+    assert 0 < 10 * counts[2] < counts[1], counts
 
 
 def test_graver_rejects_a_permutation_that_is_no_symmetry():

@@ -1,7 +1,9 @@
 import itertools
+import random
 from math import inf
 
 import pytest
+from _oracles import assert_step_bound, orbit_closed
 
 from graveropt.bruteforce import enumerate_feasible
 from graveropt.errors import (
@@ -11,6 +13,9 @@ from graveropt.errors import (
     Infeasible,
     InconsistentMargins,
 )
+from graveropt.graver import graver
+from graveropt.kernels import complete
+from graveropt.linalg import kernel_basis
 from graveropt.models import (
     DecodeResult,
     DecodingSpec,
@@ -24,6 +29,7 @@ from graveropt.models import (
     lp_objective,
     margin_tuples,
 )
+from graveropt.nfold import _layout_group, build_nfold_matrix
 from graveropt.objective import AbsPower, CompositeObjective, ZeroFn, evaluate
 
 
@@ -171,6 +177,44 @@ def test_hierarchical_detects_inconsistency():
     spec = MarginSpec((2, 2), ((1,), (2,)), values, 3)
     with pytest.raises(InconsistentMargins):
         build_hierarchical(spec)
+
+
+def _random_spec(rng, dims, family):
+    """MarginSpec of family whose values are the margins of a random
+    table of the given dims, so they are consistent."""
+    cells = {c: rng.randint(0, 2) for c in itertools.product(*(range(1, m + 1) for m in dims))}
+    values = {
+        t: sum(v for c, v in cells.items() if all(a in ("+", i) for a, i in zip(t, c)))
+        for H in family
+        for t in margin_tuples(dims, H)
+    }
+    return MarginSpec(dims, family, values, 2)
+
+
+def test_table_symmetries_permute_the_margins_and_keep_every_test_set():
+    # Transportation of 2-4 suppliers, line sums of L x M layers with
+    # L = M and L != M, the 3x3 layer of the decode lowering, and a
+    # family that an axis swap does not fix.  Each derived permutation
+    # permutes the rows of A and of B; at every N, completion under the
+    # brick swaps plus these symmetries gives the plain test set, from a
+    # pool closed under that group.  The 3x3 layer stops at N = 2: its
+    # N = 3 set is the line-sum count test of test_kernels.
+    rng = random.Random(22)
+    cases = [((k, 3), ((1,), (2,)), k - 1) for k in (rng.randint(2, 4) for _ in range(3))]
+    for L, M in ((2, 2), (1, 3), (2, 3), (3, 2), (3, 3)):
+        cases.append(((L, M, 3), ((1, 3), (2, 3), (1, 2)), L + M - 2 + (L == M)))
+    cases.append(((2, 2, 3), ((1, 3), (1, 2)), 2))
+    for dims, family, count in cases:
+        inst = build_hierarchical(_random_spec(rng, dims, family))
+        assert len(inst.symmetries) == count, (dims, family)
+        for p in inst.symmetries:
+            for M in (inst.A, inst.B):
+                assert sorted(tuple(r[j] for j in p) for r in M.data) == sorted(M.data)
+        for N in (1, 2) if dims[:2] == (3, 3) else (1, 2, 3):
+            M = build_nfold_matrix(inst.A, inst.B, N)
+            group = _layout_group(0, N, inst.n, inst.symmetries)
+            assert graver(M, group).elements == graver(M).elements, (dims, N)
+            assert orbit_closed(complete(kernel_basis(M), group), group)
 
 
 def test_margin_spec_validation():
@@ -326,3 +370,33 @@ def test_decoding_spec_validation():
     assert len(spec.coordinates()) == 8
     with pytest.raises(DomainError):
         decode("not a spec")
+
+
+def test_decodes_of_the_222_code_meet_the_step_bound():
+    # The decode walk's optimum is the least objective value over the
+    # code: encode of every message that has a codeword.
+    code = []
+    for bits in itertools.product((0, 1), repeat=8):
+        msg = tuple(tuple(bits[4 * i + 2 * j : 4 * i + 2 * j + 2] for j in range(2)) for i in range(2))
+        try:
+            code.append(encode(msg, 1, 2))
+        except Infeasible:
+            pass
+    assert len(code) == 68
+    rng = random.Random(2026)
+    cells = list(itertools.product(range(3), repeat=3))
+    for trial in range(8):
+        received = rng.choice(code)
+        for i, j, k in rng.sample(cells, 1 + trial % 2):
+            v = rng.choice([v for v in range(3) if v != received[i][j][k]])
+            received = corrupt(received, i, j, k, v)
+        for p in (1, 2, inf):
+            res = decode(DecodingSpec((2, 2, 2), 1, 2, received, p))
+            e = p if res.q is None else res.q
+
+            def value(w):
+                return sum(abs(w[i][j][k] - received[i][j][k]) ** e for i, j, k in cells)
+
+            opt = min(map(value, code))
+            assert value(res.transmitted) == opt
+            assert_step_bound(res.trace, opt)

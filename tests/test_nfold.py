@@ -1,16 +1,25 @@
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
-from _oracles import block_swaps, layout_box, layout_matrix, layout_objective, orbit_closed
+from _oracles import (
+    assert_step_bound,
+    block_swaps,
+    layout_box,
+    layout_matrix,
+    layout_objective,
+    orbit_closed,
+)
 
 import graveropt.nfold as nfold
 from graveropt import kernels
 from graveropt.augment import FeasibleBox, solve_ip_greedy
 from graveropt.bruteforce import enumerate_feasible, first_feasible, solve_oracle
-from graveropt.errors import DimMismatch, Infeasible, NotStabilized, NTooSmall
+from graveropt.errors import DimMismatch, DomainError, Infeasible, NotStabilized, NTooSmall
 from graveropt.graver import graver, graver_composite
 from graveropt.linalg import Mat, dot, kernel_basis
-from graveropt.models import build_transportation
+from graveropt.models import build_3way_linesum, build_transportation
 from graveropt.nfold import (
     BlockVector,
     NFoldInstance,
@@ -306,8 +315,6 @@ def test_block_vector():
 
 
 def test_instance_requires_shared_rows():
-    from graveropt.errors import DomainError
-
     with pytest.raises(DomainError):
         NFoldInstance(
             A=A11,
@@ -321,6 +328,66 @@ def test_instance_requires_shared_rows():
                 comp((0, 0), (((0, 1), SQ),)),
             ),
         )
+
+
+def test_instance_rejects_a_permutation_that_is_no_symmetry():
+    assert build_transportation((2, 2), (1, 3), 3).symmetries == ((1, 0),)
+    for A, B in (((1, 2, 3),), ((1, 1, 1),)), (((1, 1, 3),), ((1, 0, 0),)):
+        fields = dict(A=Mat(A), B=Mat(B), N=1, b0=(0,), b=((0,),), upper=((1, 1, 1),))
+        fields["objective"] = (comp((0, 0, 0)),)
+        assert NFoldInstance(**fields, symmetries=((0, 1, 2),)).symmetries == ((0, 1, 2),)
+        # (1, 0, 2) moves a row of A, or of B, off the rows
+        for p in ((1, 0, 2), (0, 0, 1), (0, 1)):
+            with pytest.raises(DomainError):
+                NFoldInstance(**fields, symmetries=(p,))
+
+
+def _random_margin_instance(rng):
+    """A table3 2x2x3 or a transportation instance of 2-3 suppliers and
+    customers, with the margins of a random table, and caps that keep
+    the box under the oracle's cell cap."""
+    if rng.random() < 0.5:
+        # entries mostly 1, so that moves fit under the cap of 2
+        x = [
+            [[rng.randint(0, 1) + rng.randint(0, 1) for _ in range(3)] for _ in range(2)]
+            for _ in range(2)
+        ]
+        r = [[x[0][j][k] + x[1][j][k] for k in range(3)] for j in range(2)]
+        s = [[sum(x[i][j][k] for j in range(2)) for k in range(3)] for i in range(2)]
+        t = [[sum(x[i][j]) for j in range(2)] for i in range(2)]
+        return build_3way_linesum(2, 2, 3, r, s, t, 2)
+    n, N = rng.randint(2, 3), rng.randint(2, 3)
+    x = [[rng.randint(0, 4) for _ in range(n)] for _ in range(N)]
+    supplies = [sum(x[k][i] for k in range(N)) for i in range(n)]
+    return build_transportation(supplies, [sum(b) for b in x], 4)
+
+
+def test_block_walks_meet_the_step_bound():
+    # Criterion 5's per-step gain and step count on N-fold walks, direct
+    # and lifted, with unit rows (plain pair) and a non-unit shared row
+    # (folded pair), against the oracle optimum.  Walks start from phase
+    # one's point and from the worst feasible point.
+    rng = random.Random(2026)
+    for trial in range(40):
+        inst = _random_margin_instance(rng)
+        n = inst.n
+        row = (1, 2) + (0,) * (n - 2) if trial % 4 == 3 else None
+        objs = []
+        for _ in range(inst.N):
+            if row is None:
+                units = [tuple(int(c == j) for c in range(n)) for j in range(n)]
+                rows = [(e, AbsPower(1, rng.randint(1, 3), rng.randint(0, 4))) for e in units]
+            else:
+                rows = [(row, AbsPower(1, 2, rng.randint(0, 4)))]
+            objs.append(comp(tuple(rng.randint(-2, 2) for _ in range(n)), rows))
+        inst = replace(inst, objective=tuple(objs))
+        f = inst.flatten_objective()
+        opt = solve_oracle(inst.box(), f)[1]
+        worst = max(enumerate_feasible(inst.box()), key=lambda z: evaluate(f, z))
+        for threshold, z0 in itertools.product((nfold.DIRECT_THRESHOLD, 0), (None, worst)):
+            z, trace = solve_nfold(inst, direct_threshold=threshold, z0=z0)
+            assert evaluate(f, z.flatten()) == opt
+            assert_step_bound(trace, opt)
 
 
 def test_solve_nfold_builds_matrix_once(monkeypatch):
